@@ -28,8 +28,9 @@ use crate::state::RequestState;
 ///
 /// Valid from insertion until the matching removal; slots are reused, so a
 /// handle held across a removal may alias a different request (see the
-/// module docs for the engine's validity discipline).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+/// module docs for the engine's validity discipline). Ordered by slot, so
+/// handles can serve as a deterministic tie-break in ordered sets.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct ReqHandle(u32);
 
 impl ReqHandle {

@@ -531,7 +531,7 @@ impl<'a> Cluster<'a> {
                 actual_remaining_tokens: st.spec.output_tokens() - st.tokens_generated,
             });
             sh.instances[from_local as usize].dying_blocks += held;
-            sh.instances[from_local as usize].sched_dirty = true;
+            sh.refile(handle);
             sh.migration_ctl.outcomes.launched += 1;
             sh.migration_ctl.outcomes.bytes_moved += bytes;
             sh.migration_ctl.outcomes.cross_shard_launched += 1;
@@ -574,7 +574,7 @@ impl<'a> Cluster<'a> {
                 .members
                 .remove(st.spec.id);
             sh.instances[from_local as usize].dying_blocks -= st.held_gpu_blocks;
-            sh.instances[from_local as usize].sched_dirty = true;
+            sh.refile(req); // frees the slot's filing before any reuse
             sh.mark_stats_dirty(from_local);
             st.held_gpu_blocks = 0;
             (st, from_local)
@@ -718,6 +718,11 @@ pub(super) fn assert_drained(shards: &[Shard<'_>]) {
 /// the single-region and federated engines. `region_stats` starts empty;
 /// the caller fills it.
 pub(super) fn assemble_output(shards: Vec<Shard<'_>>) -> SimOutput {
+    // Scheduling-pass work counters reach the profiler here, once per
+    // shard (a no-op branch unless profiling is on).
+    for sh in &shards {
+        sh.telemetry.profile_sched(&sh.sched.counters);
+    }
     // Only PASCAL consumes predictions (demotion, placement); under
     // the baselines a predictor is purely observational — calibration
     // samples are still logged, but the run's behavior is identical to

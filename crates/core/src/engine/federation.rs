@@ -476,7 +476,7 @@ impl<'a> FederationEngine<'a> {
             actual_remaining_tokens: st.spec.output_tokens() - st.tokens_generated,
         });
         sh.instances[from_local as usize].dying_blocks += held;
-        sh.instances[from_local as usize].sched_dirty = true;
+        sh.refile(handle);
         sh.migration_ctl.outcomes.launched += 1;
         sh.migration_ctl.outcomes.bytes_moved += bytes;
         sh.migration_ctl.outcomes.cross_region_launched += 1;
@@ -549,7 +549,7 @@ impl<'a> FederationEngine<'a> {
                 .members
                 .remove(st.spec.id);
             sh.instances[from_local as usize].dying_blocks -= st.held_gpu_blocks;
-            sh.instances[from_local as usize].sched_dirty = true;
+            sh.refile(req); // frees the slot's filing before any reuse
             sh.mark_stats_dirty(from_local);
             st.held_gpu_blocks = 0;
             (st, from_local)

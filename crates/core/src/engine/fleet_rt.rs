@@ -365,7 +365,7 @@ impl<'a> Shard<'a> {
                 .inst
                 .members
                 .insert(id, handle);
-            self.instances[target as usize].sched_dirty = true;
+            self.refile(handle);
             self.mark_stats_dirty(target);
             self.fleet.rebalanced += 1;
             self.emit_trace(
@@ -378,7 +378,6 @@ impl<'a> Shard<'a> {
             );
             touched.push(target);
         }
-        self.instances[from as usize].sched_dirty = true;
         self.mark_stats_dirty(from);
         touched.sort_unstable();
         touched.dedup();
@@ -396,7 +395,7 @@ impl<'a> Shard<'a> {
         let i = st.instance as usize;
         let id = st.spec.id;
         self.instances[i].inst.members.remove(id);
-        self.instances[i].sched_dirty = true;
+        self.refile(handle);
         self.mark_stats_dirty(st.instance);
         if st.held_gpu_blocks > 0 {
             self.instances[i].inst.gpu.free(st.held_gpu_blocks);

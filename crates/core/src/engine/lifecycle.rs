@@ -8,8 +8,10 @@
 //! state is created.
 //!
 //! Everything here is the engine's hot path: request state is reached
-//! through slab handles (one array index per touch), and the scheduling
-//! pass assembles its candidate/desired/batch sets in the shard's
+//! through slab handles (one array index per touch), the scheduling pass
+//! reads its priority order and resident set straight off the
+//! [schedule index](super::sched_index) instead of re-sorting members, and
+//! it assembles its desired/batch sets in the shard's
 //! [`ScheduleScratch`](super::ScheduleScratch) buffers, so a steady-state
 //! iteration allocates nothing.
 
@@ -111,7 +113,7 @@ impl Shard<'_> {
             .inst
             .members
             .insert(id, handle);
-        self.instances[target as usize].sched_dirty = true;
+        self.refile(handle);
         self.mark_stats_dirty(target);
         let at_instance = Some(self.global_instance(target));
         self.emit_trace(now, at_instance, Some(id), TraceEventKind::Arrival);
@@ -170,9 +172,9 @@ impl Shard<'_> {
             st.kv_location = KvLocation::Cpu;
             (st.spec.id, st.instance, blocks, cpu_blocks)
         };
+        self.refile(handle); // back among the candidates
         let rt = &mut self.instances[instance as usize];
         rt.dying_blocks -= blocks;
-        rt.sched_dirty = true; // back among the candidates
         let inst = &mut rt.inst;
         inst.gpu.free(blocks);
         inst.cpu.alloc(cpu_blocks);
@@ -203,6 +205,7 @@ impl Shard<'_> {
             st.held_cpu_blocks = 0;
             (st.spec.id, st.instance, cpu_blocks)
         };
+        self.refile(handle); // resident again
         self.instances[instance as usize].inst.cpu.free(cpu_blocks);
         self.mark_stats_dirty(instance);
         self.emit_trace(
@@ -288,7 +291,7 @@ impl Shard<'_> {
         // counts the row reports.
         self.mark_stats_dirty(at_instance);
         if key_changed || demoted_now {
-            self.instances[at_instance as usize].sched_dirty = true;
+            self.refile(handle);
         }
         if demoted_now {
             let global = self.global_instance(at_instance);
@@ -328,7 +331,7 @@ impl Shard<'_> {
         let gpu_blocks = st.held_gpu_blocks;
         let cpu_blocks = st.held_cpu_blocks;
         self.instances[instance].inst.members.remove(id);
-        self.instances[instance].sched_dirty = true;
+        self.refile(handle);
         if gpu_blocks > 0 {
             self.instances[instance].inst.gpu.free(gpu_blocks);
         }
@@ -404,6 +407,14 @@ impl Shard<'_> {
     }
 
     // ----- the scheduling core --------------------------------------------
+    //
+    // One pass per idle instance: take the longest prefix of the candidate
+    // index that fits the GPU budget (the desired set), preempt residents
+    // outside it, admit the rest, launch one iteration. Both orders the
+    // pass needs are maintained incrementally by `Shard::refile` at the
+    // lifecycle edges that change them, so the pass reads
+    // O(desired + residents) entries however deep the queue is. Debug
+    // builds re-derive both from the member list at every pass.
 
     /// Plans residency and, if possible, launches the next iteration.
     pub(super) fn try_schedule(&mut self, instance: u32, now: SimTime) {
@@ -420,39 +431,16 @@ impl Shard<'_> {
         // of which move the instance's pool gauges. One blanket
         // invalidation beats auditing the five allocation sites it spans.
         self.mark_stats_dirty(instance);
+        #[cfg(debug_assertions)]
+        self.check_schedule_index(instance);
         let mut scratch = std::mem::take(&mut self.scratch);
-        let policy = self.policy;
 
-        // 1. Candidates sorted by policy priority, cached per instance and
-        //    rebuilt only when membership, a key input, or an excluding
-        //    KV-location changed since the last pass (`sched_dirty`).
-        //    Members iterate in ascending id order and the key's final
-        //    component is the id, so the order is total — sort stability
-        //    is irrelevant, and a clean cache replays the exact order a
-        //    rebuild would produce.
-        std::mem::swap(
-            &mut self.instances[instance as usize].cands,
-            &mut scratch.cands,
-        );
-        if self.instances[instance as usize].sched_dirty {
-            scratch.cands.clear();
-            for (_, handle) in self.instances[instance as usize].inst.members.iter() {
-                let st = &self.states[handle];
-                if !matches!(
-                    st.kv_location,
-                    KvLocation::Migrating | KvLocation::OffloadingToCpu
-                ) {
-                    scratch.cands.push((policy.priority_key(st), handle));
-                }
-            }
-            scratch.cands.sort_unstable_by_key(|&(key, _)| key);
-            self.instances[instance as usize].sched_dirty = false;
-        }
-
-        // 2. Desired prefix under the block budget. Blocks held by dying
-        //    allocations (offloads, outbound migrations) are unavailable;
-        //    their total is maintained incrementally at every transfer
-        //    launch and landing.
+        // 1. Desired prefix under the block budget, read straight off the
+        //    instance's candidate index (already in priority order). Blocks
+        //    held by dying allocations (offloads, outbound migrations) are
+        //    unavailable; their total is maintained incrementally at every
+        //    transfer launch and landing. The scan also counts how many
+        //    desired entries are GPU residents, which decides step 2.
         let dying = self.instances[instance as usize].dying_blocks;
         let budget = self.instances[instance as usize]
             .inst
@@ -462,34 +450,36 @@ impl Shard<'_> {
 
         scratch.desired.clear();
         let mut acc: u64 = 0;
-        for &(_, handle) in &scratch.cands {
+        let mut resident_desired = 0usize;
+        let mut entries_read: u64 = 0;
+        for handle in self.sched.candidates(instance) {
             if scratch.desired.len() >= self.config.max_batch as usize {
                 break;
             }
+            entries_read += 1;
             let st = &self.states[handle];
             let need = self
                 .geometry
                 .blocks_for_tokens(st.tokens_needed_next())
                 .max(st.held_gpu_blocks);
-            match budget {
-                None => {
-                    acc += need;
-                    scratch.desired.push((handle, need));
-                }
-                Some(b) if acc + need <= b => {
-                    acc += need;
-                    scratch.desired.push((handle, need));
-                }
-                Some(_) => break,
+            if budget.is_some_and(|b| acc + need > b) {
+                break;
             }
+            acc += need;
+            scratch.desired.push((handle, need));
+            resident_desired += usize::from(st.kv_location == KvLocation::Gpu);
         }
+        self.sched.counters.passes += 1;
+        self.sched.counters.entries_read += entries_read;
 
-        // 3. Preempt GPU residents that fell out of the desired set. When
-        //    every candidate is desired there can be no evictee (members
-        //    outside the candidate set are never GPU-resident), so the
-        //    common uncontended iteration skips the whole sweep.
+        // 2. Preempt GPU residents that fell out of the desired set, found
+        //    by sweeping the resident set (ascending id order, so offloads
+        //    enqueue on PCIe in a fixed order). When every resident is
+        //    desired there is no evictee and the sweep is skipped.
         scratch.evictees.clear();
-        if scratch.desired.len() != scratch.cands.len() {
+        let residents = self.sched.residents(instance);
+        let resident_count = residents.len();
+        if resident_desired != resident_count {
             if scratch.desired_mark.len() < self.states.slot_capacity() {
                 scratch
                     .desired_mark
@@ -498,12 +488,12 @@ impl Shard<'_> {
             for &(handle, _) in &scratch.desired {
                 scratch.desired_mark[handle.index()] = true;
             }
-            for (_, handle) in self.instances[instance as usize].inst.members.iter() {
-                let st = &self.states[handle];
-                if st.kv_location == KvLocation::Gpu && !scratch.desired_mark[handle.index()] {
+            for (_, handle) in residents.iter() {
+                if !scratch.desired_mark[handle.index()] {
                     scratch.evictees.push(handle);
                 }
             }
+            self.sched.counters.residents_swept += resident_count as u64;
             for &(handle, _) in &scratch.desired {
                 scratch.desired_mark[handle.index()] = false;
             }
@@ -512,9 +502,9 @@ impl Shard<'_> {
             }
         }
 
-        // 4. Admit the desired set: grow residents, start reloads,
+        // 3. Admit the desired set: grow residents, start reloads,
         //    materialize warm requests, and collect prefill candidates.
-        //    The desired entries carry their block needs from step 2, and
+        //    The desired entries carry their block needs from step 1, and
         //    batch aggregates (decode context, prefill prompt lengths)
         //    accumulate here so the launch step re-reads nothing.
         scratch.prefill.clear();
@@ -578,6 +568,7 @@ impl Shard<'_> {
                         st.kv_location = KvLocation::Gpu;
                         st.resident_since = Some(now);
                         st.prefilled = true;
+                        self.refile(handle);
                         decode_context += context;
                         scratch.decode.push(handle);
                     }
@@ -600,7 +591,7 @@ impl Shard<'_> {
             }
         }
 
-        // 5. Launch: prefill takes priority (vLLM 0.6.1 semantics), else a
+        // 4. Launch: prefill takes priority (vLLM 0.6.1 semantics), else a
         //    decode step over every runnable resident. The launched batch
         //    is swapped into the instance (its drained predecessor's
         //    capacity swaps back into the scratch) — no allocation.
@@ -612,6 +603,7 @@ impl Shard<'_> {
                 // KV becomes resident as the prefill pass runs.
                 st.kv_location = KvLocation::Gpu;
                 st.resident_since = Some(now);
+                self.refile(handle);
             }
             let global = self.global_instance(instance);
             for &handle in &scratch.prefill {
@@ -652,11 +644,43 @@ impl Shard<'_> {
             self.queue
                 .schedule_flagged(now + duration, Event::IterationDone { instance }, barrier);
         }
-        std::mem::swap(
-            &mut self.instances[instance as usize].cands,
-            &mut scratch.cands,
-        );
         self.scratch = scratch;
+    }
+
+    /// Debug shadow-check of the schedule index: rebuilds `instance`'s
+    /// candidate order the slow way (walk the members, drop the in-flight
+    /// ones, sort by priority key) and its resident set (members whose KV
+    /// is on the GPU), and asserts both equal what the index holds.
+    #[cfg(debug_assertions)]
+    fn check_schedule_index(&self, instance: u32) {
+        let members = &self.instances[instance as usize].inst.members;
+        let mut rebuilt: Vec<_> = members
+            .iter()
+            .filter(|&(_, handle)| {
+                !matches!(
+                    self.states[handle].kv_location,
+                    KvLocation::Migrating | KvLocation::OffloadingToCpu
+                )
+            })
+            .map(|(_, handle)| (self.policy.priority_key(&self.states[handle]), handle))
+            .collect();
+        rebuilt.sort_unstable();
+        assert!(
+            rebuilt
+                .iter()
+                .map(|&(_, handle)| handle)
+                .eq(self.sched.candidates(instance)),
+            "stale candidate index on instance {instance}: a mutation site \
+             is missing a refile call"
+        );
+        assert!(
+            members
+                .iter()
+                .filter(|&(_, handle)| self.states[handle].kv_location == KvLocation::Gpu)
+                .eq(self.sched.residents(instance).iter()),
+            "stale resident set on instance {instance}: a mutation site is \
+             missing a refile call"
+        );
     }
 
     /// Whether any member of the batch being launched could fire a phase
@@ -691,7 +715,7 @@ impl Shard<'_> {
             )
         };
         self.instances[instance as usize].dying_blocks += held;
-        self.instances[instance as usize].sched_dirty = true;
+        self.refile(handle);
         self.emit_trace(
             now,
             Some(self.global_instance(instance)),

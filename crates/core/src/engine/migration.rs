@@ -115,7 +115,7 @@ impl Shard<'_> {
         // The phase flip (and, for PASCAL, the quanta reset) changed this
         // request's priority key — and its monitor row's phase counts,
         // before the sweep below reads them.
-        self.instances[current as usize].sched_dirty = true;
+        self.refile(handle);
         self.mark_stats_dirty(current);
         // The remaining-service view at decision time: one predictor query
         // feeds the cost/benefit test and, if the transfer launches, the
@@ -306,7 +306,7 @@ impl Shard<'_> {
             )
         };
         self.instances[from as usize].dying_blocks += held;
-        self.instances[from as usize].sched_dirty = true;
+        self.refile(handle);
         let (_, finish) = self
             .fabric
             .migrate(now, from as usize, dest as usize, bytes);
@@ -356,7 +356,6 @@ impl Shard<'_> {
         self.instances[from as usize].inst.gpu.free(gpu_blocks);
         self.instances[from as usize].inst.members.remove(id);
         self.instances[from as usize].dying_blocks -= gpu_blocks;
-        self.instances[from as usize].sched_dirty = true;
         self.mark_stats_dirty(from);
 
         {
@@ -387,10 +386,7 @@ impl Shard<'_> {
     /// must already be a member of `instance` with its state in this
     /// shard's slab.
     pub(super) fn land_migration(&mut self, handle: ReqHandle, instance: u32, now: SimTime) {
-        // The request (re)joins `instance`'s candidate set — membership was
-        // inserted by the caller, and the location leaves `Migrating` here.
-        // The new member also changes the destination's monitor row.
-        self.instances[instance as usize].sched_dirty = true;
+        // The new member changes the destination's monitor row.
         self.mark_stats_dirty(instance);
         let id = self.states[handle].spec.id;
         let needed = self
@@ -426,6 +422,9 @@ impl Shard<'_> {
                 true
             }
         };
+        // The request (re)joins `instance`'s candidate set — membership was
+        // inserted by the caller, and the location left `Migrating` above.
+        self.refile(handle);
         self.emit_trace(
             now,
             Some(self.global_instance(instance)),

@@ -6,9 +6,9 @@
 //! controllers and predictor state — running the single mechanism all
 //! three schedulers share:
 //!
-//! 1. every time an instance is idle, sort its requests by the policy's
-//!    priority key and grant GPU KV residency to the longest prefix that
-//!    fits (the *desired set*);
+//! 1. every time an instance is idle, walk its requests in the policy's
+//!    priority order (kept in a per-instance ordered index) and grant GPU
+//!    KV residency to the longest prefix that fits (the *desired set*);
 //! 2. residents outside the desired set are preempted (KV offloaded to CPU
 //!    over PCIe); non-residents inside it are admitted — prefilled,
 //!    reloaded, or (for warm requests) materialized;
@@ -45,6 +45,9 @@
 //!   prefill → reasoning → answering → completion, including the
 //!   offload/reload preemption transitions and per-iteration residency
 //!   planning;
+//! * [`sched_index`](self) — the per-instance candidate index and resident
+//!   set that residency planning reads, kept in sync by
+//!   [`Shard::refile`];
 //! * [`migration`](self) — the [`MigrationController`](migration): phase-
 //!   boundary Algorithm 2 decisions, the predictive cost/benefit veto
 //!   (KV transfer cost vs predicted remaining service), transfer launch
@@ -60,14 +63,14 @@
 //! Both controllers default to off and `shards` defaults to 1, in which
 //! case a run is byte-identical to the paper's reactive scheduler.
 
-use pascal_cluster::{Instance, InstanceStats, ReqHandle, RequestSlab, RequestState};
+use pascal_cluster::{Instance, InstanceStats, KvLocation, ReqHandle, RequestSlab, RequestState};
 use pascal_metrics::{
     AdmissionCounters, AdmissionRecord, CalibrationReport, FleetOutcomes, MigrationOutcomes,
     MigrationRecord, PredictionSample, RegionStats, RequestRecord, ShardStats,
 };
 use pascal_model::{KvGeometry, PerfModel};
 use pascal_predict::{LengthPredictor, PredictorKind};
-use pascal_sched::{PriorityKey, SchedPolicy};
+use pascal_sched::SchedPolicy;
 use pascal_sim::{EventQueue, SimTime};
 use pascal_telemetry::{
     SloAlertRecord, SloBurnTracker, TelemetryHandle, TelemetryOut, TraceEvent, TraceEventKind,
@@ -87,6 +90,7 @@ mod fleet_rt;
 mod lifecycle;
 mod migration;
 mod parallel;
+mod sched_index;
 mod stats;
 #[cfg(test)]
 mod tests;
@@ -100,6 +104,7 @@ pub(crate) use cluster::Engine;
 pub(crate) use federation::FederationEngine;
 use fleet_rt::AutoscalerRt;
 use migration::MigrationController;
+use sched_index::{Filing, ScheduleIndex};
 
 /// Events driving a shard. Arrivals are not queue events: the cluster
 /// routes them straight off the trace (see [`cluster`]).
@@ -282,6 +287,9 @@ pub(super) struct Shard<'a> {
     /// Slab storage of every in-flight request on this shard, indexed by
     /// the dense handles events and membership lists carry.
     pub(super) states: RequestSlab,
+    /// Per-instance candidate index and resident set, read by every
+    /// scheduling pass and updated through [`Shard::refile`].
+    pub(super) sched: ScheduleIndex,
     /// Reusable hot-path buffers (see [`ScheduleScratch`]).
     pub(super) scratch: ScheduleScratch,
     pub(super) migration_ctl: MigrationController,
@@ -326,20 +334,12 @@ pub(super) struct Shard<'a> {
     pub(super) telemetry: TelemetryHandle,
 }
 
-/// Engine-side per-instance runtime extension.
+/// Engine-side per-instance runtime extension. The instance's scheduling
+/// order and resident set live beside it, in [`Shard::sched`].
 pub(super) struct InstanceRt {
     pub(super) inst: Instance,
     pub(super) current_batch: Vec<ReqHandle>,
     pub(super) current_kind: IterationKind,
-    /// Cached candidate list of the last scheduling pass, sorted by
-    /// priority key. Valid while `sched_dirty` is false — the scheduler
-    /// then skips the rebuild *and* the sort, which dominates congested
-    /// iterations. Invalidated by membership changes, priority-key input
-    /// changes (quantum crossings, demotions, phase flips) and KV-location
-    /// changes into or out of the candidate-excluded states.
-    pub(super) cands: Vec<(PriorityKey, ReqHandle)>,
-    /// Whether `cands` must be rebuilt before the next scheduling pass.
-    pub(super) sched_dirty: bool,
     /// GPU blocks held by members whose KV is on the way out (preemption
     /// offloads, outbound migrations) — maintained incrementally so the
     /// scheduler's budget computation skips a full member sweep.
@@ -372,8 +372,6 @@ pub(super) struct StatsCacheEntry {
 /// amortizing to zero allocation.
 #[derive(Default)]
 pub(super) struct ScheduleScratch {
-    /// Schedulable candidates with their precomputed priority keys.
-    pub(super) cands: Vec<(PriorityKey, ReqHandle)>,
     /// The desired-set prefix under the block budget, each entry carrying
     /// the GPU block need computed during the prefix scan (reused verbatim
     /// by the admission pass — nothing mutates in between).
@@ -410,8 +408,6 @@ impl<'a> Shard<'a> {
                 inst: Instance::new(i as u32, geometry, capacity, config.pcie),
                 current_batch: Vec::new(),
                 current_kind: IterationKind::Decode,
-                cands: Vec::new(),
-                sched_dirty: true,
                 dying_blocks: 0,
                 stats_cache: std::cell::Cell::new(None),
             })
@@ -430,6 +426,7 @@ impl<'a> Shard<'a> {
             instances: rt,
             fabric: pascal_cluster::Fabric::new(instances, config.fabric),
             states: RequestSlab::new(),
+            sched: ScheduleIndex::new(instances),
             scratch: ScheduleScratch::default(),
             migration_ctl: MigrationController::new(config.predictive_migration),
             admission_ctl: AdmissionController::new(
@@ -470,6 +467,31 @@ impl<'a> Shard<'a> {
     #[inline]
     pub(super) fn mark_stats_dirty(&self, instance: u32) {
         self.instances[instance as usize].stats_cache.set(None);
+    }
+
+    /// Brings `handle`'s entries in the [schedule index](sched_index) in
+    /// line with its state: filed under its instance with its current
+    /// priority key unless it is in flight out of the instance
+    /// (`Migrating`, `OffloadingToCpu`) or gone from the slab, and in the
+    /// resident set while its KV is on the GPU. Must be called after every
+    /// mutation of membership, a priority-key input (quanta, demotion,
+    /// phase) or the KV location — and, when the request left the slab,
+    /// before the slot can be reused. Debug builds check the whole index
+    /// against a rebuild from the member lists at every scheduling pass,
+    /// so a missed call fails loudly across the test suite.
+    pub(super) fn refile(&mut self, handle: ReqHandle) {
+        let want = self.states.get(handle).and_then(|st| {
+            let candidate = !matches!(
+                st.kv_location,
+                KvLocation::Migrating | KvLocation::OffloadingToCpu
+            );
+            candidate.then(|| Filing {
+                instance: st.instance,
+                key: self.policy.priority_key(st),
+                resident: st.kv_location == KvLocation::Gpu,
+            })
+        });
+        self.sched.refile(handle, want);
     }
 
     /// The region this shard belongs to (shard ids are region-major).

@@ -1054,3 +1054,63 @@ mod windowed {
         }
     }
 }
+
+mod sched_pass_complexity {
+    use super::*;
+    use pascal_sched::PolicyKind;
+    use pascal_workload::{ArrivalProcess, MixPreset, TraceBuilder};
+
+    /// The scheduling pass's work does not grow with queue depth. An
+    /// overloaded cell (mixed PASCAL at 2.5x the `high` rate on eight
+    /// instances) builds a backlog of ~150 requests per instance on
+    /// average; the pass must still read no more than the batch cap off
+    /// the candidate index, sweep only the resident set, and never fall
+    /// back to rebuilding an order from the member list. A pass that
+    /// walks the members again fails both the rebuild count and the depth
+    /// bound below.
+    #[test]
+    fn scheduling_pass_work_is_depth_independent() {
+        let mut config = SimConfig::evaluation_cluster(PolicyKind::Pascal.build());
+        config.telemetry.profile = true;
+        let rate = crate::RateLevel::High.rate_rps(
+            &SimConfig::evaluation_cluster(SchedPolicy::Fcfs),
+            &MixPreset::Mixed.mix(),
+        );
+        let trace = TraceBuilder::new(MixPreset::Mixed.mix())
+            .arrivals(ArrivalProcess::poisson(rate * 2.5))
+            .count(4000)
+            .seed(1)
+            .build();
+        let out = run_simulation(&trace, &config);
+        let sched = out
+            .telemetry
+            .and_then(|t| t.profile)
+            .expect("profiling was on")
+            .sched;
+        assert!(sched.passes > 0);
+        assert_eq!(sched.full_rebuilds, 0, "{sched:?}");
+        assert!(
+            sched.entries_read <= sched.passes * u64::from(config.max_batch),
+            "prefix scans read past the batch cap: {sched:?}"
+        );
+        // Mean requests in the system per instance, by Little's law over
+        // the records: the depth an O(members) pass would pay per pass.
+        let depth = out
+            .records
+            .iter()
+            .map(|r| r.e2e_latency().as_secs_f64())
+            .sum::<f64>()
+            / out.makespan.as_secs_f64()
+            / config.num_instances as f64;
+        let work_per_pass =
+            (sched.entries_read + sched.residents_swept) as f64 / sched.passes as f64;
+        assert!(
+            depth > 100.0,
+            "the cell must build a deep backlog: {depth:.1}"
+        );
+        assert!(
+            work_per_pass < depth / 3.0,
+            "the pass does {work_per_pass:.1} entries of work at mean depth {depth:.1}: {sched:?}"
+        );
+    }
+}

@@ -19,7 +19,7 @@ use std::time::Instant;
 use pascal_sim::SimDuration;
 
 use crate::event::TraceEvent;
-use crate::profiler::{HotPathProfiler, ProfileReport, ProfiledEvent};
+use crate::profiler::{HotPathProfiler, ProfileReport, ProfiledEvent, SchedPassCounters};
 use crate::series::SeriesRow;
 
 /// Which telemetry streams a run collects. Everything defaults to off.
@@ -206,6 +206,18 @@ impl TelemetryHandle {
         if let Some(inner) = &self.inner {
             if let Some(profiler) = inner.lock().expect("telemetry lock").profiler.as_mut() {
                 profiler.count_barrier_event();
+            }
+        }
+    }
+
+    /// Adds one shard's scheduling-pass work counters to the profile.
+    pub fn profile_sched(&self, counters: &SchedPassCounters) {
+        if !self.profile_on {
+            return;
+        }
+        if let Some(inner) = &self.inner {
+            if let Some(profiler) = inner.lock().expect("telemetry lock").profiler.as_mut() {
+                profiler.add_sched(counters);
             }
         }
     }

@@ -90,6 +90,7 @@ pub struct HotPathProfiler {
     windows: u64,
     window_events: u64,
     barrier_events: u64,
+    sched: SchedPassCounters,
 }
 
 impl HotPathProfiler {
@@ -103,6 +104,7 @@ impl HotPathProfiler {
             windows: 0,
             window_events: 0,
             barrier_events: 0,
+            sched: SchedPassCounters::default(),
         }
     }
 
@@ -137,6 +139,12 @@ impl HotPathProfiler {
         self.barrier_events += 1;
     }
 
+    /// Adds one shard's scheduling-pass work counters (the engine hands
+    /// every shard's tally over once, after the run).
+    pub fn add_sched(&mut self, counters: &SchedPassCounters) {
+        self.sched.absorb(counters);
+    }
+
     /// Stops the wall clock and condenses the samples into a report.
     #[must_use]
     pub fn report(self) -> ProfileReport {
@@ -166,6 +174,7 @@ impl HotPathProfiler {
             windows: self.windows,
             window_events: self.window_events,
             barrier_events: self.barrier_events,
+            sched: self.sched,
             rows,
         }
     }
@@ -192,6 +201,38 @@ pub struct ProfileRow {
     pub p99_us: f64,
 }
 
+/// Work counters of the engine's per-iteration scheduling pass, summed
+/// over every instance of every shard. Deterministic (simulation state
+/// alone decides them, at any thread count), so unlike the wall-clock
+/// figures they can pin the pass's complexity in a test.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SchedPassCounters {
+    /// Scheduling passes run (idle, live instances only).
+    pub passes: u64,
+    /// Candidate-index entries the desired-prefix scans read.
+    pub entries_read: u64,
+    /// Point updates (one insert or remove) applied to the candidate
+    /// index or a resident set.
+    pub index_updates: u64,
+    /// Resident-set entries swept looking for evictees.
+    pub residents_swept: u64,
+    /// Passes that rebuilt a candidate order from the member list instead
+    /// of reading the index. The engine has no such path; the counter is
+    /// the tripwire the complexity regression test holds at zero.
+    pub full_rebuilds: u64,
+}
+
+impl SchedPassCounters {
+    /// Adds `other` into `self`.
+    pub fn absorb(&mut self, other: &SchedPassCounters) {
+        self.passes += other.passes;
+        self.entries_read += other.entries_read;
+        self.index_updates += other.index_updates;
+        self.residents_swept += other.residents_swept;
+        self.full_rebuilds += other.full_rebuilds;
+    }
+}
+
 /// The profiler's end-of-run summary. Host-dependent; never part of any
 /// deterministic output.
 #[derive(Clone, Debug, PartialEq)]
@@ -211,6 +252,9 @@ pub struct ProfileReport {
     pub window_events: u64,
     /// Events the coordinator handled sequentially at window barriers.
     pub barrier_events: u64,
+    /// Scheduling-pass work counters. Deterministic, like the window
+    /// counts.
+    pub sched: SchedPassCounters,
     /// One row per event class, [`ProfiledEvent::ALL`] order.
     pub rows: Vec<ProfileRow>,
 }
@@ -230,6 +274,18 @@ impl ProfileReport {
                 self.window_events,
                 self.barrier_events,
                 self.window_events as f64 / self.windows as f64,
+            ));
+        }
+        let sched = &self.sched;
+        if sched.passes > 0 {
+            out.push_str(&format!(
+                "  {} scheduling passes: {} index entries read ({:.1}/pass), {} residents swept, {} index updates, {} full rebuilds\n",
+                sched.passes,
+                sched.entries_read,
+                sched.entries_read as f64 / sched.passes as f64,
+                sched.residents_swept,
+                sched.index_updates,
+                sched.full_rebuilds,
             ));
         }
         for row in &self.rows {
@@ -277,6 +333,28 @@ mod tests {
         assert!(text.contains("events/sec"));
         assert!(text.contains("arrival"));
         assert!(!text.contains("cross_region_done"));
+    }
+
+    #[test]
+    fn sched_counters_accumulate_and_render() {
+        let mut p = HotPathProfiler::new();
+        assert!(!p.clone().report().render().contains("scheduling passes"));
+        let shard = SchedPassCounters {
+            passes: 4,
+            entries_read: 10,
+            index_updates: 3,
+            residents_swept: 2,
+            full_rebuilds: 0,
+        };
+        p.add_sched(&shard);
+        p.add_sched(&shard);
+        let report = p.report();
+        assert_eq!(report.sched.passes, 8);
+        assert_eq!(report.sched.entries_read, 20);
+        assert!(report.render().contains(
+            "8 scheduling passes: 20 index entries read (2.5/pass), 4 residents swept, \
+             6 index updates, 0 full rebuilds"
+        ));
     }
 
     #[test]

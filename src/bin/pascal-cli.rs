@@ -123,7 +123,8 @@ OPTIONS (run):
           without the flag.
   --profile                                         print a wall-clock
           hot-path profile of the event loop to stderr (per-event-type
-          counts, timing quantiles, events/sec). Host-dependent by
+          counts, timing quantiles, events/sec, and the scheduling
+          pass's deterministic work counters). Host-dependent by
           design; never part of any deterministic output.
   --run-threads <N>                                 intra-run worker
           threads for the event loop; 0 = auto (available parallelism,

@@ -4,9 +4,10 @@
 //! queue, scratch-buffer scheduling) are only safe because every output
 //! byte is pinned. These tests run the CLI end-to-end at committed seeds —
 //! a single-instance run, a sharded run, a federated run, an FCFS run,
-//! and the full ci+sharded+federated sweep grid — and require stdout,
-//! stderr, per-request CSVs, `sweep.json` and `sweep.csv` to match the
-//! fixtures under `tests/golden/` byte for byte.
+//! two contended (preemption-heavy) runs, and the full
+//! ci+sharded+federated sweep grid — and require stdout, stderr,
+//! per-request CSVs, `sweep.json` and `sweep.csv` to match the fixtures
+//! under `tests/golden/` byte for byte.
 //!
 //! If a change legitimately alters scheduling behaviour, regenerate the
 //! fixtures (the commands are the `run_cases()` table below, executed from
@@ -45,7 +46,10 @@ fn assert_bytes_match(fixture: &str, actual: &[u8], context: &str) {
     );
 }
 
-/// The four committed run scenarios: (name, CLI arguments).
+/// The committed run scenarios: (name, CLI arguments). The two
+/// `run_contended_*` cases overload one 8-instance shard so preemption is
+/// routine (hundreds of offloads), pinning the scheduler's evictee order
+/// and the PCIe enqueue sequence it drives.
 fn run_cases() -> Vec<(&'static str, Vec<&'static str>)> {
     vec![
         (
@@ -132,6 +136,42 @@ fn run_cases() -> Vec<(&'static str, Vec<&'static str>)> {
                 "run_fcfs.csv",
             ],
         ),
+        (
+            "run_contended_pascal",
+            vec![
+                "run",
+                "--dataset",
+                "mixed",
+                "--policy",
+                "pascal",
+                "--rate",
+                "high",
+                "--count",
+                "1500",
+                "--seed",
+                "7",
+                "--csv",
+                "run_contended_pascal.csv",
+            ],
+        ),
+        (
+            "run_contended_rr",
+            vec![
+                "run",
+                "--dataset",
+                "mixed",
+                "--policy",
+                "rr",
+                "--rate",
+                "high",
+                "--count",
+                "1500",
+                "--seed",
+                "7",
+                "--csv",
+                "run_contended_rr.csv",
+            ],
+        ),
     ]
 }
 
@@ -193,14 +233,17 @@ fn empty_fleet_schedule_matches_static_fixtures_byte_for_byte() {
 #[test]
 fn windowed_parallel_runs_match_sequential_fixtures_byte_for_byte() {
     // The windowed parallel executor's determinism contract at the CLI
-    // level: `--run-threads 4` on the committed sharded and federated
-    // scenarios must reproduce the sequential fixtures byte for byte —
-    // same stdout, same stderr, same per-request CSV. (The fixtures were
+    // level: `--run-threads 4` on the committed sharded, federated and
+    // contended scenarios must reproduce the sequential fixtures byte for
+    // byte — same stdout, same stderr, same per-request CSV. (The fixtures were
     // generated without the flag; equality here IS the claim that thread
     // count is unobservable in every output byte.)
     let dir = scratch_dir("run-threads");
     for (name, mut args) in run_cases() {
-        if !matches!(name, "run_sharded" | "run_federated") {
+        if !matches!(
+            name,
+            "run_sharded" | "run_federated" | "run_contended_pascal" | "run_contended_rr"
+        ) {
             continue;
         }
         args.extend(["--run-threads", "4"]);
