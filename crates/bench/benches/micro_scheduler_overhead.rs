@@ -210,13 +210,16 @@ fn bench_perf_model() {
     });
 }
 
-/// The incremental stats cache vs the from-scratch member sweep it
-/// replaced, priced on a real 4-shard, 32-instance PASCAL cluster frozen
-/// mid-run (so rows have resident members, live pacer deadlines and
-/// predictor history). Three costs: the all-hit sweep (pure cache-serve),
+/// The row cache and the tally-built rows vs the from-scratch member sweep
+/// they replaced, priced on a real 4-shard, 32-instance PASCAL cluster
+/// frozen mid-run (so rows have resident members, live pacer deadlines and
+/// predictor history). Four costs: the all-hit sweep (pure cache-serve),
 /// the advertised steady state (one dirty row per sweep — what a
-/// single-instance event leaves behind), and the full recompute the hot
-/// path paid before the cache existed.
+/// single-instance event leaves behind), the full recompute by member
+/// sweep the hot path paid before the cache existed, and every row rebuilt
+/// from the tallies (what a cache miss costs now). The fixture runs a
+/// length predictor, so the tally rows still pay the predicted-growth
+/// member sweep; without one they read no member at all.
 fn bench_monitor_sweep() {
     let count = pascal_bench::smoke_count(4_000);
     let trace = TraceBuilder::new(DatasetMix::single(DatasetProfile::arena_hard()))
@@ -247,6 +250,10 @@ fn bench_monitor_sweep() {
     });
     bench_function("monitor_sweep_full_32inst", 20, 2_000, || {
         fixture.sweep_full(&mut buf);
+        buf.len()
+    });
+    bench_function("monitor_tally_rows_32inst", 20, 2_000, || {
+        fixture.sweep_tallies(&mut buf);
         buf.len()
     });
 }

@@ -1,7 +1,7 @@
-//! Bench-only access to the instance-monitor sweep. Hidden from docs and
-//! not a stable API: the only consumer is the `micro_scheduler_overhead`
-//! bench, which prices the incremental stats cache against the
-//! from-scratch member sweep it replaced.
+//! Bench-only access to the instance monitor. Hidden from docs and not a
+//! stable API: the only consumer is the `micro_scheduler_overhead` bench,
+//! which prices the row cache and the tally-built rows against the
+//! from-scratch member sweep they replaced.
 //!
 //! The fixture drives a real cluster engine a fixed number of events into
 //! a run and freezes it there, so the sweeps are measured over genuine
@@ -16,9 +16,10 @@ use super::cluster::Engine;
 use super::driver::EventDriver;
 use crate::SimConfig;
 
-/// A cluster engine frozen mid-run, exposing the three monitor-sweep
-/// costs the cache trades between: all-hit (pure serve), steady-state
-/// (one dirty row per sweep), and the full recompute.
+/// A cluster engine frozen mid-run, exposing the monitor costs the cache
+/// and the tallies trade between: all-hit (pure serve), steady-state (one
+/// dirty row per sweep), every row rebuilt from the tallies, and every row
+/// rebuilt by the member sweep.
 pub struct MonitorSweepFixture<'a> {
     engine: Engine<'a>,
     now: SimTime,
@@ -81,11 +82,20 @@ impl<'a> MonitorSweepFixture<'a> {
         self.sweep_incremental(out);
     }
 
-    /// The from-scratch sweep the cache replaced: every healthy row
-    /// recomputed from its members, no cache reads or writes.
+    /// The from-scratch sweep the cache and the tallies replaced: every
+    /// healthy row recomputed by walking its members, no cache reads or
+    /// writes.
     pub fn sweep_full(&self, out: &mut Vec<InstanceStats>) {
         for shard in self.engine.shards() {
-            shard.collect_stats_full_into(self.now, out);
+            shard.collect_stats_uncached_into(self.now, true, out);
+        }
+    }
+
+    /// Every healthy row rebuilt from its instance's tallies, no cache
+    /// reads or writes — what a cache miss costs today.
+    pub fn sweep_tallies(&self, out: &mut Vec<InstanceStats>) {
+        for shard in self.engine.shards() {
+            shard.collect_stats_uncached_into(self.now, false, out);
         }
     }
 }

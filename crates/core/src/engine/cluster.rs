@@ -718,10 +718,11 @@ pub(super) fn assert_drained(shards: &[Shard<'_>]) {
 /// the single-region and federated engines. `region_stats` starts empty;
 /// the caller fills it.
 pub(super) fn assemble_output(shards: Vec<Shard<'_>>) -> SimOutput {
-    // Scheduling-pass work counters reach the profiler here, once per
-    // shard (a no-op branch unless profiling is on).
+    // Scheduling-pass and monitor work counters reach the profiler here,
+    // once per shard (a no-op branch unless profiling is on).
     for sh in &shards {
         sh.telemetry.profile_sched(&sh.sched.counters);
+        sh.telemetry.profile_monitor(&sh.monitor.counters.get());
     }
     // Only PASCAL consumes predictions (demotion, placement); under
     // the baselines a predictor is purely observational — calibration

@@ -230,6 +230,8 @@ impl Shard<'_> {
         let mut crossed_threshold = None;
         let mut demoted_now = false;
         let mut key_changed = false;
+        let mut pace_until = None;
+        let mut pace_started = false;
         let (id, transitioned, done, first_answer, at_instance) = {
             let st = &mut self.states[handle];
             st.end_running(now);
@@ -268,6 +270,10 @@ impl Shard<'_> {
 
             if st.phase == Phase::Answering {
                 st.pacer.on_token(now);
+                pace_until = st.pacer.on_pace_until();
+                // The stream's first token starts its pacer: from here on
+                // it has an entry in the instance's pace column.
+                pace_started = st.pacer.generated() == 1;
             }
 
             let transitioned = st.phase == Phase::Reasoning
@@ -290,8 +296,10 @@ impl Shard<'_> {
         // predicted remaining growth, and possibly the quantum/demotion
         // counts the row reports.
         self.mark_stats_dirty(at_instance);
-        if key_changed || demoted_now {
+        if key_changed || demoted_now || pace_started {
             self.refile(handle);
+        } else if let Some(until) = pace_until {
+            self.monitor.set_pace(handle, until);
         }
         if demoted_now {
             let global = self.global_instance(at_instance);

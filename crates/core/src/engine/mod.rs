@@ -55,7 +55,10 @@
 //! * [`admission`](self) — the [`AdmissionController`](admission):
 //!   predictive SLO admission control that rejects arrivals at predicted
 //!   shard KV overload instead of letting the pacers starve;
-//! * [`stats`](self) — the instance-monitor sweep producing the
+//! * [`monitor`](self) — the per-instance tallies (phase counts and the
+//!   pacer-deadline column) the monitor rows are built from, kept in sync
+//!   by the same [`Shard::refile`];
+//! * [`stats`](self) — the instance monitor producing the
 //!   [`InstanceStats`] snapshots Algorithms 1 and 2 consume;
 //! * [`cluster`](self) — the global clock, the router, and the
 //!   cross-shard migration path.
@@ -75,7 +78,7 @@ use pascal_sim::{EventQueue, SimTime};
 use pascal_telemetry::{
     SloAlertRecord, SloBurnTracker, TelemetryHandle, TelemetryOut, TraceEvent, TraceEventKind,
 };
-use pascal_workload::{RequestId, Trace};
+use pascal_workload::{Phase, RequestId, Trace};
 
 use crate::config::SimConfig;
 use crate::fleet::HealthState;
@@ -89,6 +92,7 @@ mod federation;
 mod fleet_rt;
 mod lifecycle;
 mod migration;
+mod monitor;
 mod parallel;
 mod sched_index;
 mod stats;
@@ -104,6 +108,7 @@ pub(crate) use cluster::Engine;
 pub(crate) use federation::FederationEngine;
 use fleet_rt::AutoscalerRt;
 use migration::MigrationController;
+use monitor::{MonitorTallies, Tally};
 use sched_index::{Filing, ScheduleIndex};
 
 /// Events driving a shard. Arrivals are not queue events: the cluster
@@ -290,6 +295,9 @@ pub(super) struct Shard<'a> {
     /// Per-instance candidate index and resident set, read by every
     /// scheduling pass and updated through [`Shard::refile`].
     pub(super) sched: ScheduleIndex,
+    /// Per-instance phase tallies and pacer-deadline columns, read by every
+    /// monitor row and updated through [`Shard::refile`].
+    pub(super) monitor: MonitorTallies,
     /// Reusable hot-path buffers (see [`ScheduleScratch`]).
     pub(super) scratch: ScheduleScratch,
     pub(super) migration_ctl: MigrationController,
@@ -344,10 +352,11 @@ pub(super) struct InstanceRt {
     /// offloads, outbound migrations) — maintained incrementally so the
     /// scheduler's budget computation skips a full member sweep.
     pub(super) dying_blocks: u64,
-    /// Incrementally maintained monitor row (`None` = stale). Every
-    /// mutation that can change the row clears the cell through
-    /// [`Shard::mark_stats_dirty`]; the monitor sweep refills it lazily. A
-    /// `Cell` because the refill happens inside the `&self` sweep.
+    /// Cached monitor row (`None` = stale). Every mutation that can change
+    /// the row clears the cell through [`Shard::mark_stats_dirty`]; the
+    /// monitor refills it lazily from the instance's tallies in
+    /// [`Shard::monitor`], without walking the members. A `Cell` because
+    /// the refill happens inside the `&self` monitor pass.
     pub(super) stats_cache: std::cell::Cell<Option<StatsCacheEntry>>,
 }
 
@@ -427,6 +436,7 @@ impl<'a> Shard<'a> {
             fabric: pascal_cluster::Fabric::new(instances, config.fabric),
             states: RequestSlab::new(),
             sched: ScheduleIndex::new(instances),
+            monitor: MonitorTallies::new(instances),
             scratch: ScheduleScratch::default(),
             migration_ctl: MigrationController::new(config.predictive_migration),
             admission_ctl: AdmissionController::new(
@@ -461,26 +471,33 @@ impl<'a> Shard<'a> {
     /// Invalidates `instance`'s cached monitor row. Must be called after
     /// any mutation that can change the row: membership, pool allocations
     /// and frees, token emission (pacer, quanta, predicted growth), phase
-    /// flips, demotions, health transitions. Debug builds shadow-compare
-    /// every sweep against a full recompute, so a missed call fails loudly
-    /// across the whole test suite.
+    /// flips, demotions, health transitions. The refill reads the
+    /// instance's tallies, which [`Shard::refile`] keeps current on its
+    /// own; this call only decides *when* the row is rebuilt. Debug builds
+    /// compare every row served or built against the member sweep, so a
+    /// missed call fails loudly across the whole test suite.
     #[inline]
     pub(super) fn mark_stats_dirty(&self, instance: u32) {
         self.instances[instance as usize].stats_cache.set(None);
     }
 
-    /// Brings `handle`'s entries in the [schedule index](sched_index) in
-    /// line with its state: filed under its instance with its current
-    /// priority key unless it is in flight out of the instance
-    /// (`Migrating`, `OffloadingToCpu`) or gone from the slab, and in the
-    /// resident set while its KV is on the GPU. Must be called after every
-    /// mutation of membership, a priority-key input (quanta, demotion,
-    /// phase) or the KV location — and, when the request left the slab,
-    /// before the slot can be reused. Debug builds check the whole index
-    /// against a rebuild from the member lists at every scheduling pass,
-    /// so a missed call fails loudly across the test suite.
+    /// Brings `handle`'s entries in the [schedule index](sched_index) and
+    /// the [monitor tallies](monitor) in line with its state. In the index
+    /// it is filed under its instance with its current priority key unless
+    /// it is in flight out of the instance (`Migrating`, `OffloadingToCpu`)
+    /// or gone from the slab, and in the resident set while its KV is on
+    /// the GPU. In the tallies it counts toward its instance's row for as
+    /// long as it is in the slab: by phase, demotion and quanta, and with
+    /// its pacer deadline once its answering stream started. Must be called
+    /// after every mutation of membership, a priority-key input (quanta,
+    /// demotion, phase), the KV location or the pacer's start — and, when
+    /// the request left the slab, before the slot can be reused. Debug
+    /// builds check the index against a rebuild from the member lists at
+    /// every scheduling pass, and every monitor row against the member
+    /// sweep, so a missed call fails loudly across the test suite.
     pub(super) fn refile(&mut self, handle: ReqHandle) {
-        let want = self.states.get(handle).and_then(|st| {
+        let st = self.states.get(handle);
+        let want = st.and_then(|st| {
             let candidate = !matches!(
                 st.kv_location,
                 KvLocation::Migrating | KvLocation::OffloadingToCpu
@@ -491,7 +508,21 @@ impl<'a> Shard<'a> {
                 resident: st.kv_location == KvLocation::Gpu,
             })
         });
+        let tally = st.map(|st| {
+            let answering = st.phase == Phase::Answering;
+            Tally {
+                instance: st.instance,
+                reasoning: !answering && !st.demoted,
+                fresh_answering: answering && st.quanta_used == 0,
+                pace_until: if answering {
+                    st.pacer.on_pace_until()
+                } else {
+                    None
+                },
+            }
+        });
         self.sched.refile(handle, want);
+        self.monitor.refile(handle, tally);
     }
 
     /// The region this shard belongs to (shard ids are region-major).

@@ -1,4 +1,4 @@
-//! The instance-monitor sweep (Fig. 6's instance monitor).
+//! The instance monitor (Fig. 6's instance monitor).
 //!
 //! Assembles one [`InstanceStats`] snapshot per instance: answering SLO
 //! health (`t_i`), KV footprint (`m_i`), queue counts (`r_i`, `a_i`), free
@@ -6,7 +6,15 @@
 //! growth of the in-flight requests. Placement (Algorithm 1), migration
 //! (Algorithm 2) and the admission controller all read this snapshot.
 //!
-//! Hot-path consumers (arrival placement, phase transitions) sweep into a
+//! A row is built from state kept up to date, not by walking members: the
+//! phase counts and pacer deadlines come from the instance's
+//! [tallies](super::monitor), the footprint and free blocks from its pools.
+//! Only the predicted-growth field still sweeps the members, and only when
+//! a length predictor feeds a consumer of it. Rows are cached between
+//! mutations on top of that. The member sweep the tallies replaced is kept
+//! as the reference: debug builds compare every row against it.
+//!
+//! Hot-path consumers (arrival placement, phase transitions) collect into a
 //! reused buffer via [`Shard::collect_stats_into`]; the allocating
 //! [`Shard::collect_stats`] remains for the cluster-level paths that need
 //! an owned snapshot.
@@ -27,9 +35,9 @@ impl Shard<'_> {
     /// [`StatsCacheEntry`](super::StatsCacheEntry) when still fresh —
     /// cleared by [`Shard::mark_stats_dirty`] at every mutation, expired
     /// by predictor updates (epoch) and pacer deadlines (`valid_until`) —
-    /// so a sweep after a single-instance event recomputes one row and
-    /// copies the rest. Debug builds shadow-compare every served row
-    /// against a full recompute.
+    /// and otherwise rebuilt from the instance's tallies. Debug builds
+    /// compare every served and every rebuilt row against the member
+    /// sweep.
     pub(super) fn collect_stats_into(&self, now: SimTime, out: &mut Vec<InstanceStats>) {
         out.clear();
         let wants_predicted_growth = self.wants_predicted_growth();
@@ -45,22 +53,32 @@ impl Shard<'_> {
                 e.epoch == self.predictor_epoch && e.valid_until.is_none_or(|v| now < v)
             });
             let stats = match cached {
-                Some(entry) => entry.stats,
+                Some(entry) => {
+                    self.monitor.count(|c| c.rows_served += 1);
+                    #[cfg(debug_assertions)]
+                    assert_eq!(
+                        entry.stats,
+                        self.reference_row(rt, now, wants_predicted_growth).stats,
+                        "stale monitor-row cache on instance {i}: a mutation site \
+                         is missing a mark_stats_dirty call"
+                    );
+                    entry.stats
+                }
                 None => {
                     let entry = self.compute_instance_stats(rt, now, wants_predicted_growth);
                     rt.stats_cache.set(Some(entry));
+                    #[cfg(debug_assertions)]
+                    {
+                        let swept = self.reference_row(rt, now, wants_predicted_growth);
+                        assert!(
+                            entry.stats == swept.stats && entry.valid_until == swept.valid_until,
+                            "monitor tallies of instance {i} disagree with its members: a \
+                             mutation site is missing a refile call"
+                        );
+                    }
                     entry.stats
                 }
             };
-            #[cfg(debug_assertions)]
-            {
-                let fresh = self.compute_instance_stats(rt, now, wants_predicted_growth);
-                assert_eq!(
-                    stats, fresh.stats,
-                    "stale monitor-row cache on instance {i}: a mutation site \
-                     is missing a mark_stats_dirty call"
-                );
-            }
             out.push(stats);
         }
     }
@@ -73,7 +91,7 @@ impl Shard<'_> {
     /// `PoolSnapshot` even under baseline policies. Rank-only predictors
     /// estimate nothing and contribute zero — consumers then degrade
     /// gracefully to current footprints. When no consumer reads the
-    /// field, the sweep skips the per-member estimates.
+    /// field, the row skips the per-member estimates.
     fn wants_predicted_growth(&self) -> bool {
         matches!(self.policy, SchedPolicy::Pascal(_))
             || self.admission_ctl.enabled()
@@ -82,16 +100,60 @@ impl Shard<'_> {
                 && self.config.router == pascal_sched::RouterPolicy::Predictive)
     }
 
-    /// Computes one instance's monitor row from scratch, together with its
-    /// cache-validity bounds — the full member sweep the cache exists to
-    /// avoid. Also the reference implementation the debug shadow-compare
-    /// and the snapshot microbench measure against.
+    /// Builds one instance's monitor row, together with its cache-validity
+    /// bounds, from the instance's tallies: two counters and one min-scan
+    /// over the started answering streams' pacer deadlines.
     pub(super) fn compute_instance_stats(
         &self,
         rt: &super::InstanceRt,
         now: SimTime,
         wants_predicted_growth: bool,
     ) -> super::StatsCacheEntry {
+        let row = self.monitor.row(rt.inst.id, now);
+        let predicted_future_kv_bytes = self.predicted_future_kv_bytes(rt, wants_predicted_growth);
+        self.monitor.count(|c| c.rows_computed += 1);
+        super::StatsCacheEntry {
+            stats: InstanceStats {
+                instance: rt.inst.id,
+                slo_ok: row.slo_ok,
+                kv_footprint_bytes: rt.inst.kv_footprint_bytes(),
+                reasoning_count: row.reasoning,
+                fresh_answering_count: row.fresh_answering,
+                gpu_free_blocks: rt.inst.gpu.free_blocks(),
+                predicted_future_kv_bytes,
+            },
+            epoch: self.predictor_epoch,
+            valid_until: row.valid_until,
+        }
+    }
+
+    /// The member sweep as the debug checks run it: its reads do not show
+    /// in the work counters.
+    #[cfg(debug_assertions)]
+    fn reference_row(
+        &self,
+        rt: &super::InstanceRt,
+        now: SimTime,
+        wants_predicted_growth: bool,
+    ) -> super::StatsCacheEntry {
+        let counted = self.monitor.counters.get();
+        let swept = self.sweep_instance_stats(rt, now, wants_predicted_growth);
+        self.monitor.counters.set(counted);
+        swept
+    }
+
+    /// Computes one instance's monitor row by walking every member — the
+    /// reference implementation the tallies replaced. Debug builds compare
+    /// every row against it, and the snapshot microbench prices the tally
+    /// path against it.
+    pub(super) fn sweep_instance_stats(
+        &self,
+        rt: &super::InstanceRt,
+        now: SimTime,
+        wants_predicted_growth: bool,
+    ) -> super::StatsCacheEntry {
+        let members = rt.inst.members.len() as u64;
+        self.monitor.count(|c| c.member_reads += members);
         let mut slo_ok = true;
         let mut valid_until: Option<SimTime> = None;
         let mut reasoning = 0u32;
@@ -128,25 +190,6 @@ impl Shard<'_> {
         if !slo_ok {
             valid_until = None;
         }
-        let predicted_future_kv_bytes = if wants_predicted_growth {
-            self.predictor.as_ref().map_or(0, |pred| {
-                rt.inst
-                    .members
-                    .iter()
-                    .map(|(_, handle)| {
-                        let st = &self.states[handle];
-                        let Some(remaining) =
-                            pred.predicted_remaining_tokens(&st.spec, st.tokens_generated)
-                        else {
-                            return 0;
-                        };
-                        self.geometry.bytes_for_tokens(remaining.round() as u64)
-                    })
-                    .sum()
-            })
-        } else {
-            0
-        };
         super::StatsCacheEntry {
             stats: InstanceStats {
                 instance: rt.inst.id,
@@ -155,28 +198,66 @@ impl Shard<'_> {
                 reasoning_count: reasoning,
                 fresh_answering_count: fresh_answering,
                 gpu_free_blocks: rt.inst.gpu.free_blocks(),
-                predicted_future_kv_bytes,
+                predicted_future_kv_bytes: self
+                    .predicted_future_kv_bytes(rt, wants_predicted_growth),
             },
             epoch: self.predictor_epoch,
             valid_until,
         }
     }
 
-    /// The from-scratch form of [`Shard::collect_stats_into`]: every
-    /// healthy row recomputed from its members, no cache reads or writes.
-    /// Only the bench support calls it — the baseline the incremental
-    /// sweep is priced against.
-    pub(super) fn collect_stats_full_into(&self, now: SimTime, out: &mut Vec<InstanceStats>) {
+    /// The predictor's estimate of the KV the instance's members will
+    /// still grow by — a member sweep, run only when a consumer reads the
+    /// field and a predictor exists (zero otherwise).
+    fn predicted_future_kv_bytes(
+        &self,
+        rt: &super::InstanceRt,
+        wants_predicted_growth: bool,
+    ) -> u64 {
+        if !wants_predicted_growth {
+            return 0;
+        }
+        self.predictor.as_ref().map_or(0, |pred| {
+            let members = rt.inst.members.len() as u64;
+            self.monitor.count(|c| c.member_reads += members);
+            rt.inst
+                .members
+                .iter()
+                .map(|(_, handle)| {
+                    let st = &self.states[handle];
+                    let Some(remaining) =
+                        pred.predicted_remaining_tokens(&st.spec, st.tokens_generated)
+                    else {
+                        return 0;
+                    };
+                    self.geometry.bytes_for_tokens(remaining.round() as u64)
+                })
+                .sum()
+        })
+    }
+
+    /// Every healthy row rebuilt with no cache reads or writes — by the
+    /// member sweep when `from_members`, else from the tallies. Only the
+    /// bench support calls it, to price the two row builders against each
+    /// other.
+    pub(super) fn collect_stats_uncached_into(
+        &self,
+        now: SimTime,
+        from_members: bool,
+        out: &mut Vec<InstanceStats>,
+    ) {
         out.clear();
         let wants_predicted_growth = self.wants_predicted_growth();
         for (i, rt) in self.instances.iter().enumerate() {
             if self.health[i] != crate::fleet::HealthState::Healthy {
                 continue;
             }
-            out.push(
+            let entry = if from_members {
+                self.sweep_instance_stats(rt, now, wants_predicted_growth)
+            } else {
                 self.compute_instance_stats(rt, now, wants_predicted_growth)
-                    .stats,
-            );
+            };
+            out.push(entry.stats);
         }
     }
 

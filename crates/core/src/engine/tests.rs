@@ -1060,16 +1060,12 @@ mod sched_pass_complexity {
     use pascal_sched::PolicyKind;
     use pascal_workload::{ArrivalProcess, MixPreset, TraceBuilder};
 
-    /// The scheduling pass's work does not grow with queue depth. An
-    /// overloaded cell (mixed PASCAL at 2.5x the `high` rate on eight
-    /// instances) builds a backlog of ~150 requests per instance on
-    /// average; the pass must still read no more than the batch cap off
-    /// the candidate index, sweep only the resident set, and never fall
-    /// back to rebuilding an order from the member list. A pass that
-    /// walks the members again fails both the rebuild count and the depth
-    /// bound below.
-    #[test]
-    fn scheduling_pass_work_is_depth_independent() {
+    /// An overloaded, profiled cell: mixed PASCAL at 2.5x the `high` rate
+    /// on eight instances, no length predictor. Returns the config, the
+    /// output, and the mean requests in the system per instance by
+    /// Little's law over the records — the depth an O(members) pass or
+    /// monitor row would pay per call.
+    fn overloaded_cell() -> (SimConfig, SimOutput, f64) {
         let mut config = SimConfig::evaluation_cluster(PolicyKind::Pascal.build());
         config.telemetry.profile = true;
         let rate = crate::RateLevel::High.rate_rps(
@@ -1082,6 +1078,30 @@ mod sched_pass_complexity {
             .seed(1)
             .build();
         let out = run_simulation(&trace, &config);
+        let depth = out
+            .records
+            .iter()
+            .map(|r| r.e2e_latency().as_secs_f64())
+            .sum::<f64>()
+            / out.makespan.as_secs_f64()
+            / config.num_instances as f64;
+        assert!(
+            depth > 100.0,
+            "the cell must build a deep backlog: {depth:.1}"
+        );
+        (config, out, depth)
+    }
+
+    /// The scheduling pass's work does not grow with queue depth. The
+    /// overloaded cell builds a backlog of ~150 requests per instance on
+    /// average; the pass must still read no more than the batch cap off
+    /// the candidate index, sweep only the resident set, and never fall
+    /// back to rebuilding an order from the member list. A pass that
+    /// walks the members again fails both the rebuild count and the depth
+    /// bound below.
+    #[test]
+    fn scheduling_pass_work_is_depth_independent() {
+        let (config, out, depth) = overloaded_cell();
         let sched = out
             .telemetry
             .and_then(|t| t.profile)
@@ -1093,24 +1113,35 @@ mod sched_pass_complexity {
             sched.entries_read <= sched.passes * u64::from(config.max_batch),
             "prefix scans read past the batch cap: {sched:?}"
         );
-        // Mean requests in the system per instance, by Little's law over
-        // the records: the depth an O(members) pass would pay per pass.
-        let depth = out
-            .records
-            .iter()
-            .map(|r| r.e2e_latency().as_secs_f64())
-            .sum::<f64>()
-            / out.makespan.as_secs_f64()
-            / config.num_instances as f64;
         let work_per_pass =
             (sched.entries_read + sched.residents_swept) as f64 / sched.passes as f64;
         assert!(
-            depth > 100.0,
-            "the cell must build a deep backlog: {depth:.1}"
-        );
-        assert!(
             work_per_pass < depth / 3.0,
             "the pass does {work_per_pass:.1} entries of work at mean depth {depth:.1}: {sched:?}"
+        );
+    }
+
+    /// Building a monitor row does not grow with queue depth either. On
+    /// the same cell, with no predictor asking for predicted growth, no
+    /// row reads a member state, and a computed row scans only the pace
+    /// column — the answering streams whose pacer started — which stays
+    /// far below the backlog. A row built by walking the members again
+    /// fails both bounds.
+    #[test]
+    fn monitor_work_is_depth_independent() {
+        let (_, out, depth) = overloaded_cell();
+        let monitor = out
+            .telemetry
+            .and_then(|t| t.profile)
+            .expect("profiling was on")
+            .monitor;
+        assert!(monitor.rows_computed > 0, "{monitor:?}");
+        assert!(monitor.rows_served > 0, "{monitor:?}");
+        assert_eq!(monitor.member_reads, 0, "{monitor:?}");
+        let entries_per_row = monitor.pace_entries_scanned as f64 / monitor.rows_computed as f64;
+        assert!(
+            entries_per_row < depth / 3.0,
+            "a row scans {entries_per_row:.1} pace entries at mean depth {depth:.1}: {monitor:?}"
         );
     }
 }

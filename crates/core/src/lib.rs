@@ -79,7 +79,7 @@ pub use fleet::{FleetPreset, FleetSpec};
 pub use pascal_federation::{FederationPolicy, WanLink};
 pub use pascal_telemetry::{
     aggregate, events_to_chrome, events_to_jsonl, reconstruct, series_to_csv, series_to_json,
-    AnatomyReport, BlameProfile, ProfileReport, SchedPassCounters, TelemetryConfig, TelemetryOut,
-    TraceFormat,
+    AnatomyReport, BlameProfile, MonitorCounters, ProfileReport, SchedPassCounters,
+    TelemetryConfig, TelemetryOut, TraceFormat,
 };
 pub use sweep::{ScenarioSpec, SweepCell, SweepGrid, SweepReport, SweepRunner};

@@ -89,27 +89,29 @@ pub fn qoe_of_stream(gen_times: &[SimTime], expected_start: SimTime, tpot: SimDu
         return 1.0;
     }
 
-    let mut digest_times = Vec::with_capacity(n);
-    let mut prev: Option<SimTime> = None;
-    for (i, &g) in gen_times.iter().enumerate() {
-        let pace_ready = match prev {
-            None => expected_start,
-            Some(p) => p + tpot,
-        };
-        let d = if g > pace_ready { g } else { pace_ready };
-        digest_times.push(d);
-        prev = Some(d);
-        let _ = i;
-    }
+    // The digestion recurrence, replayed lazily: once for the last digest
+    // time (the horizon), once more for the area — no buffer.
+    let digest_times = || {
+        gen_times
+            .iter()
+            .scan(None, |prev: &mut Option<SimTime>, &g| {
+                let pace_ready = match *prev {
+                    None => expected_start,
+                    Some(p) => p + tpot,
+                };
+                let d = if g > pace_ready { g } else { pace_ready };
+                *prev = Some(d);
+                Some(d)
+            })
+    };
 
     let last_expected = expected_start + tpot * (n as u64 - 1);
-    let last_digested = *digest_times.last().expect("n > 0");
+    let last_digested = digest_times().last().expect("n > 0");
     let horizon = last_digested.max(last_expected);
 
     // Area under a cumulative step curve = Σ (horizon - step_time).
-    let digested_area: f64 = digest_times
-        .iter()
-        .map(|d| horizon.saturating_since(*d).as_secs_f64())
+    let digested_area: f64 = digest_times()
+        .map(|d| horizon.saturating_since(d).as_secs_f64())
         .sum();
     let expected_area: f64 = (0..n)
         .map(|i| {
@@ -243,7 +245,58 @@ mod tests {
         assert!(charac < 0.9, "characterization mode charges it: {charac}");
     }
 
+    /// The buffered form of [`qoe_of_stream`]: digest times collected into
+    /// a vector, then summed.
+    fn qoe_buffered(gen_times: &[SimTime], expected_start: SimTime, tpot: SimDuration) -> f64 {
+        let n = gen_times.len();
+        if n == 0 {
+            return 1.0;
+        }
+        let mut digest_times = Vec::with_capacity(n);
+        let mut prev: Option<SimTime> = None;
+        for &g in gen_times {
+            let pace_ready = prev.map_or(expected_start, |p| p + tpot);
+            let d = g.max(pace_ready);
+            digest_times.push(d);
+            prev = Some(d);
+        }
+        let last_expected = expected_start + tpot * (n as u64 - 1);
+        let horizon = digest_times[n - 1].max(last_expected);
+        let digested_area: f64 = digest_times
+            .iter()
+            .map(|d| horizon.saturating_since(*d).as_secs_f64())
+            .sum();
+        let expected_area: f64 = (0..n)
+            .map(|i| {
+                horizon
+                    .saturating_since(expected_start + tpot * i as u64)
+                    .as_secs_f64()
+            })
+            .sum();
+        if expected_area <= 0.0 {
+            return 1.0;
+        }
+        (digested_area / expected_area).clamp(0.0, 1.0)
+    }
+
     proptest! {
+        /// The allocation-free recurrence replay is bit-identical to the
+        /// buffered computation.
+        #[test]
+        fn prop_matches_buffered_digest(
+            gaps in proptest::collection::vec(0.0f64..0.4, 0..80),
+            start_offset in 0.0f64..2.0,
+        ) {
+            let mut t = 1.0;
+            let tokens: Vec<SimTime> = gaps.iter().map(|g| { t += g; secs(t) }).collect();
+            let start = secs(start_offset);
+            let tpot = SimDuration::from_millis(100);
+            prop_assert_eq!(
+                qoe_of_stream(&tokens, start, tpot).to_bits(),
+                qoe_buffered(&tokens, start, tpot).to_bits()
+            );
+        }
+
         /// QoE is always within [0, 1].
         #[test]
         fn prop_qoe_bounded(gaps in proptest::collection::vec(0.0f64..1.0, 1..100)) {

@@ -37,10 +37,34 @@ pub fn slo_violation_rate(records: &[RequestRecord], params: &QoeParams, thresho
             }
         }
     }
-    if considered == 0 {
+    share(violated, considered)
+}
+
+/// `part / of`, or 0 when `of` is 0.
+pub(crate) fn share(part: usize, of: usize) -> f64 {
+    if of == 0 {
         0.0
     } else {
-        violated as f64 / considered as f64
+        part as f64 / of as f64
+    }
+}
+
+/// `count` per second of the makespan from the first arrival to the last
+/// completion, or 0 for an empty or instantaneous run.
+pub(crate) fn per_makespan_s(count: f64, records: &[RequestRecord]) -> f64 {
+    let (Some(first_arrival), Some(last_completion)) = (
+        records.iter().map(|r| r.spec.arrival).min(),
+        records.iter().map(|r| r.completion).max(),
+    ) else {
+        return 0.0;
+    };
+    let span = last_completion
+        .saturating_since(first_arrival)
+        .as_secs_f64();
+    if span <= 0.0 {
+        0.0
+    } else {
+        count / span
     }
 }
 
@@ -49,30 +73,11 @@ pub fn slo_violation_rate(records: &[RequestRecord], params: &QoeParams, thresho
 /// to last completion.
 #[must_use]
 pub fn throughput_tokens_per_s(records: &[RequestRecord]) -> f64 {
-    if records.is_empty() {
-        return 0.0;
-    }
     let total_tokens: u64 = records
         .iter()
         .map(|r| u64::from(r.spec.output_tokens()))
         .sum();
-    let first_arrival = records
-        .iter()
-        .map(|r| r.spec.arrival)
-        .min()
-        .expect("non-empty");
-    let last_completion = records
-        .iter()
-        .map(|r| r.completion)
-        .max()
-        .expect("non-empty");
-    let span = last_completion
-        .saturating_since(first_arrival)
-        .as_secs_f64();
-    if span <= 0.0 {
-        return 0.0;
-    }
-    total_tokens as f64 / span
+    per_makespan_s(total_tokens as f64, records)
 }
 
 /// Mean / median / tail summary of a latency population (seconds).
@@ -274,31 +279,11 @@ pub fn goodput_requests_per_s(
     params: &QoeParams,
     threshold: f64,
 ) -> f64 {
-    if records.is_empty() {
-        return 0.0;
-    }
     let good = records
         .iter()
         .filter(|r| answering_qoe(r, params).is_none_or(|q| q >= threshold))
         .count();
-    let first_arrival = records
-        .iter()
-        .map(|r| r.spec.arrival)
-        .min()
-        .expect("non-empty");
-    let last_completion = records
-        .iter()
-        .map(|r| r.completion)
-        .max()
-        .expect("non-empty");
-    let span = last_completion
-        .saturating_since(first_arrival)
-        .as_secs_f64();
-    if span <= 0.0 {
-        0.0
-    } else {
-        good as f64 / span
-    }
+    per_makespan_s(good as f64, records)
 }
 
 /// Empirical CDF of a latency population, down-sampled to at most

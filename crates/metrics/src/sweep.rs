@@ -12,8 +12,7 @@ use crate::counters::{AdmissionCounters, FleetOutcomes, MigrationOutcomes};
 use crate::qoe::{answering_qoe, QoeParams};
 use crate::record::RequestRecord;
 use crate::summary::{
-    goodput_requests_per_s, slo_violation_rate, throughput_tokens_per_s, LatencySummary,
-    SLO_QOE_THRESHOLD,
+    per_makespan_s, share, throughput_tokens_per_s, LatencySummary, SLO_QOE_THRESHOLD,
 };
 
 /// The aggregate metrics of one sweep cell.
@@ -85,24 +84,38 @@ impl SweepCellMetrics {
                 .iter()
                 .filter_map(|r| r.ttft().map(|d| d.as_secs_f64())),
         );
-        let qoes: Vec<f64> = records
-            .iter()
-            .filter_map(|r| answering_qoe(r, qoe))
-            .collect();
-        let mean_qoe = if qoes.is_empty() {
+        // One QoE score per record feeds the mean, the violation rate and
+        // the goodput — the same definitions as `slo_violation_rate` and
+        // `goodput_requests_per_s`, without scoring each stream three times.
+        let mut qoe_sum = 0.0;
+        let mut scored = 0usize;
+        let mut violated = 0usize;
+        let mut good = 0usize;
+        for r in records {
+            match answering_qoe(r, qoe) {
+                Some(q) => {
+                    qoe_sum += q;
+                    scored += 1;
+                    violated += usize::from(q < SLO_QOE_THRESHOLD);
+                    good += usize::from(q >= SLO_QOE_THRESHOLD);
+                }
+                None => good += 1,
+            }
+        }
+        let mean_qoe = if scored == 0 {
             0.0
         } else {
-            qoes.iter().sum::<f64>() / qoes.len() as f64
+            qoe_sum / scored as f64
         };
         SweepCellMetrics {
             requests: records.len(),
             ttft_mean_s: ttft.as_ref().map(|t| t.mean),
             ttft_p50_s: ttft.as_ref().map(|t| t.p50),
             ttft_p99_s: ttft.as_ref().map(|t| t.p99),
-            slo_violation_rate: slo_violation_rate(records, qoe, SLO_QOE_THRESHOLD),
+            slo_violation_rate: share(violated, scored),
             mean_qoe,
             throughput_tokens_per_s: throughput_tokens_per_s(records),
-            goodput_rps: goodput_requests_per_s(records, qoe, SLO_QOE_THRESHOLD),
+            goodput_rps: per_makespan_s(good as f64, records),
             makespan_s,
             migrations_considered: migration.considered,
             migrations_launched: migration.launched,
@@ -135,6 +148,81 @@ impl SweepCellMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::summary::{goodput_requests_per_s, slo_violation_rate};
+    use pascal_sim::{SimDuration, SimTime};
+    use pascal_workload::{RequestId, RequestSpec};
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Scoring each record once gives exactly the public definitions:
+        /// the row's violation rate and goodput are `==` to
+        /// `slo_violation_rate` and `goodput_requests_per_s`, and its mean
+        /// QoE to the mean of `answering_qoe` over the scored records.
+        ///
+        /// Each record is `((reasoning, answering), (arrival_ms, gap_ms))`;
+        /// token `i` lands `gap_ms × (1 + i·7 mod 5)` after token `i − 1`,
+        /// so streams mix on-pace runs with stalls.
+        #[test]
+        fn prop_from_run_matches_public_definitions(
+            shapes in proptest::collection::vec(
+                ((1u32..4, 0u32..12), (0u64..2_000, 0u64..120)),
+                0..40,
+            )
+        ) {
+            let records: Vec<RequestRecord> = shapes
+                .iter()
+                .enumerate()
+                .map(|(i, &((reasoning, answering), (arrival_ms, gap_ms)))| {
+                    let arrival = SimTime::from_nanos(arrival_ms * 1_000_000);
+                    let spec =
+                        RequestSpec::new(RequestId(i as u64), arrival, 16, reasoning, answering);
+                    let mut t = arrival;
+                    let token_times: Vec<SimTime> = (0..u64::from(reasoning + answering))
+                        .map(|k| {
+                            t += SimDuration::from_millis(gap_ms * (1 + k * 7 % 5));
+                            t
+                        })
+                        .collect();
+                    RequestRecord {
+                        spec,
+                        completion: token_times.last().copied().unwrap_or(arrival),
+                        token_times,
+                        executed: SimDuration::ZERO,
+                        blocked: SimDuration::ZERO,
+                        preempted: SimDuration::ZERO,
+                        num_preemptions: 0,
+                        answer_resume_time: None,
+                        migration: None,
+                        instances_visited: vec![0],
+                    }
+                })
+                .collect();
+            let params = QoeParams::paper_eval();
+            let row = SweepCellMetrics::from_run(
+                &records,
+                &MigrationOutcomes::default(),
+                &AdmissionCounters::default(),
+                &FleetOutcomes::default(),
+                1.0,
+                &params,
+            );
+            prop_assert_eq!(
+                row.slo_violation_rate,
+                slo_violation_rate(&records, &params, SLO_QOE_THRESHOLD)
+            );
+            prop_assert_eq!(
+                row.goodput_rps,
+                goodput_requests_per_s(&records, &params, SLO_QOE_THRESHOLD)
+            );
+            let qoes: Vec<f64> = records.iter().filter_map(|r| answering_qoe(r, &params)).collect();
+            let mean = if qoes.is_empty() {
+                0.0
+            } else {
+                qoes.iter().sum::<f64>() / qoes.len() as f64
+            };
+            prop_assert_eq!(row.mean_qoe.to_bits(), mean.to_bits());
+        }
+    }
 
     #[test]
     fn empty_run_produces_zeroed_row() {

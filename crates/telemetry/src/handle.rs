@@ -19,7 +19,9 @@ use std::time::Instant;
 use pascal_sim::SimDuration;
 
 use crate::event::TraceEvent;
-use crate::profiler::{HotPathProfiler, ProfileReport, ProfiledEvent, SchedPassCounters};
+use crate::profiler::{
+    HotPathProfiler, MonitorCounters, ProfileReport, ProfiledEvent, SchedPassCounters,
+};
 use crate::series::SeriesRow;
 
 /// Which telemetry streams a run collects. Everything defaults to off.
@@ -218,6 +220,18 @@ impl TelemetryHandle {
         if let Some(inner) = &self.inner {
             if let Some(profiler) = inner.lock().expect("telemetry lock").profiler.as_mut() {
                 profiler.add_sched(counters);
+            }
+        }
+    }
+
+    /// Adds one shard's instance-monitor work counters to the profile.
+    pub fn profile_monitor(&self, counters: &MonitorCounters) {
+        if !self.profile_on {
+            return;
+        }
+        if let Some(inner) = &self.inner {
+            if let Some(profiler) = inner.lock().expect("telemetry lock").profiler.as_mut() {
+                profiler.add_monitor(counters);
             }
         }
     }

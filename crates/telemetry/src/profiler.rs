@@ -91,6 +91,7 @@ pub struct HotPathProfiler {
     window_events: u64,
     barrier_events: u64,
     sched: SchedPassCounters,
+    monitor: MonitorCounters,
 }
 
 impl HotPathProfiler {
@@ -105,6 +106,7 @@ impl HotPathProfiler {
             window_events: 0,
             barrier_events: 0,
             sched: SchedPassCounters::default(),
+            monitor: MonitorCounters::default(),
         }
     }
 
@@ -145,6 +147,12 @@ impl HotPathProfiler {
         self.sched.absorb(counters);
     }
 
+    /// Adds one shard's instance-monitor work counters (handed over once
+    /// per shard, after the run, like the scheduling-pass counters).
+    pub fn add_monitor(&mut self, counters: &MonitorCounters) {
+        self.monitor.absorb(counters);
+    }
+
     /// Stops the wall clock and condenses the samples into a report.
     #[must_use]
     pub fn report(self) -> ProfileReport {
@@ -175,6 +183,7 @@ impl HotPathProfiler {
             window_events: self.window_events,
             barrier_events: self.barrier_events,
             sched: self.sched,
+            monitor: self.monitor,
             rows,
         }
     }
@@ -233,6 +242,33 @@ impl SchedPassCounters {
     }
 }
 
+/// Work counters of the engine's instance monitor (the `t_i`/`r_i`/`a_i`
+/// rows Algorithms 1 and 2 read), summed over every shard. Deterministic,
+/// like [`SchedPassCounters`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct MonitorCounters {
+    /// Rows built from the per-instance tallies (cache misses).
+    pub rows_computed: u64,
+    /// Rows served from the per-instance row cache.
+    pub rows_served: u64,
+    /// Pacer-deadline column entries the computed rows' min-scans read.
+    pub pace_entries_scanned: u64,
+    /// Member states read by the predicted-growth sweep — the only part of
+    /// a row still built by walking members, and only when a length
+    /// predictor feeds a consumer of predicted growth.
+    pub member_reads: u64,
+}
+
+impl MonitorCounters {
+    /// Adds `other` into `self`.
+    pub fn absorb(&mut self, other: &MonitorCounters) {
+        self.rows_computed += other.rows_computed;
+        self.rows_served += other.rows_served;
+        self.pace_entries_scanned += other.pace_entries_scanned;
+        self.member_reads += other.member_reads;
+    }
+}
+
 /// The profiler's end-of-run summary. Host-dependent; never part of any
 /// deterministic output.
 #[derive(Clone, Debug, PartialEq)]
@@ -255,6 +291,9 @@ pub struct ProfileReport {
     /// Scheduling-pass work counters. Deterministic, like the window
     /// counts.
     pub sched: SchedPassCounters,
+    /// Instance-monitor work counters. Deterministic, like the window
+    /// counts.
+    pub monitor: MonitorCounters,
     /// One row per event class, [`ProfiledEvent::ALL`] order.
     pub rows: Vec<ProfileRow>,
 }
@@ -286,6 +325,17 @@ impl ProfileReport {
                 sched.residents_swept,
                 sched.index_updates,
                 sched.full_rebuilds,
+            ));
+        }
+        let monitor = &self.monitor;
+        if monitor.rows_computed + monitor.rows_served > 0 {
+            out.push_str(&format!(
+                "  {} monitor rows computed, {} served from cache: {} pace entries scanned ({:.1}/row), {} member states read\n",
+                monitor.rows_computed,
+                monitor.rows_served,
+                monitor.pace_entries_scanned,
+                monitor.pace_entries_scanned as f64 / monitor.rows_computed.max(1) as f64,
+                monitor.member_reads,
             ));
         }
         for row in &self.rows {
@@ -333,6 +383,26 @@ mod tests {
         assert!(text.contains("events/sec"));
         assert!(text.contains("arrival"));
         assert!(!text.contains("cross_region_done"));
+    }
+
+    #[test]
+    fn monitor_counters_accumulate_and_render() {
+        let mut p = HotPathProfiler::new();
+        assert!(!p.clone().report().render().contains("monitor rows"));
+        let shard = MonitorCounters {
+            rows_computed: 4,
+            rows_served: 6,
+            pace_entries_scanned: 10,
+            member_reads: 0,
+        };
+        p.add_monitor(&shard);
+        p.add_monitor(&shard);
+        let report = p.report();
+        assert_eq!(report.monitor.rows_computed, 8);
+        assert!(report.render().contains(
+            "8 monitor rows computed, 12 served from cache: 20 pace entries scanned \
+             (2.5/row), 0 member states read"
+        ));
     }
 
     #[test]

@@ -124,8 +124,9 @@ OPTIONS (run):
   --profile                                         print a wall-clock
           hot-path profile of the event loop to stderr (per-event-type
           counts, timing quantiles, events/sec, and the scheduling
-          pass's deterministic work counters). Host-dependent by
-          design; never part of any deterministic output.
+          pass's and instance monitor's deterministic work counters).
+          Host-dependent by design; never part of any deterministic
+          output.
   --run-threads <N>                                 intra-run worker
           threads for the event loop; 0 = auto (available parallelism,
           capped at 8 and at the shard count), max 64. Outputs are
