@@ -61,7 +61,7 @@ fn bench_event_queue() {
 }
 
 /// The schedule/pop/cancel surface both queue implementations share, so
-/// one steady-state harness can drive the calendar queue and the
+/// one steady-state harness can drive the engine's event queue and the
 /// reference binary heap side by side.
 trait QueueOps: Default {
     type Id;
@@ -152,12 +152,15 @@ fn bench_queue_ops_at<Q: QueueOps>(label: &str, pending: usize, iters: usize) {
     );
 }
 
-/// Old queue vs new queue across pending depths 10^3..10^6. The depth
-/// ladder is capped by `PASCAL_BENCH_COUNT` so the CI smoke run touches
-/// one tiny depth instead of holding a million events.
+/// The engine's queue vs the reference heap across pending depths. 4, 16
+/// and 64 are the populations a shard's queue actually holds (a few
+/// events per instance; arrivals never enter it); 10^3..10^6 show the
+/// asymptote. The depth ladder is capped by `PASCAL_BENCH_COUNT` so the
+/// CI smoke run touches only the small depths instead of holding a
+/// million events.
 fn bench_queue_ops() {
     let cap = pascal_bench::smoke_count(1_000_000);
-    let ladder = [1_000usize, 10_000, 100_000, 1_000_000];
+    let ladder = [4usize, 16, 64, 1_000, 10_000, 100_000, 1_000_000];
     let depths: Vec<usize> = if ladder.iter().any(|&n| n <= cap) {
         ladder.iter().copied().filter(|&n| n <= cap).collect()
     } else {
@@ -167,7 +170,7 @@ fn bench_queue_ops() {
         // Enough iterations to cycle a meaningful fraction of the queue,
         // bounded so the 10^6 depth still finishes promptly.
         let iters = (pending * 4).clamp(1_000, 200_000);
-        bench_queue_ops_at::<EventQueue<u64>>("calendar", pending, iters);
+        bench_queue_ops_at::<EventQueue<u64>>("event_queue", pending, iters);
         bench_queue_ops_at::<HeapEventQueue<u64>>("binary_heap", pending, iters);
     }
 }

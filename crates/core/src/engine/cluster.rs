@@ -2,7 +2,8 @@
 //! router at the arrival boundary, and the inter-shard migration path.
 //!
 //! Every shard owns its event queue; the cluster repeatedly fires the
-//! globally earliest event. The interleaving is fully deterministic:
+//! globally earliest event, read off a winner tree over the shards' queue
+//! heads ([`WinnerTree`]). The interleaving is fully deterministic:
 //!
 //! * at equal timestamps, **arrivals fire before shard events** — exactly
 //!   the order the pre-sharding engine produced, where arrival events were
@@ -39,12 +40,15 @@ use pascal_metrics::{MigrationRecord, RegionStats};
 use pascal_sched::{cross_shard_escape_target, MigrationCost, RouterPolicy, SchedPolicy};
 use pascal_sim::SimTime;
 use pascal_telemetry::{
-    EscapeTier, ProfiledEvent, SeriesRow, SeriesScope, TelemetryHandle, TraceEventKind,
+    EscapeTier, ProfiledEvent, QueueCounters, SeriesRow, SeriesScope, TelemetryHandle,
+    TraceEventKind,
 };
 use pascal_workload::Trace;
 
 use crate::config::SimConfig;
 
+use super::driver::NextEvent;
+use super::frontier::WinnerTree;
 use super::{context_kv_bytes, EscapeCandidate, Event, Shard, SimOutput};
 
 /// What firing one cluster event left for the caller to resolve. A
@@ -91,6 +95,11 @@ pub(crate) struct Cluster<'a> {
     /// Telemetry sink shared with every shard — disabled it is a handful
     /// of `false` branches, so the hot path is unchanged.
     telemetry: TelemetryHandle,
+    /// The next-event frontier: one leaf per shard holding its queue head.
+    frontier: WinnerTree,
+    /// Frontier work (head peeks, refreshes). Schedules and pops are read
+    /// off the shard queues once the run has drained.
+    pub(super) queue_counters: QueueCounters,
 }
 
 impl<'a> Cluster<'a> {
@@ -106,7 +115,7 @@ impl<'a> Cluster<'a> {
         federated: bool,
         telemetry: TelemetryHandle,
     ) -> Self {
-        Cluster {
+        let mut cluster = Cluster {
             config,
             shards: (0..shards)
                 .map(|s| {
@@ -123,29 +132,74 @@ impl<'a> Cluster<'a> {
             router_cursor: 0,
             federated,
             telemetry,
+            frontier: WinnerTree::new(shards),
+            queue_counters: QueueCounters::default(),
+        };
+        // Fleet schedules seed the queues at construction.
+        cluster.refresh_all();
+        cluster
+    }
+
+    /// The earliest pending shard event as `(time, shard)`, if any — the
+    /// frontier's root, which serves both the peek (for the
+    /// arrival-vs-event race) and the subsequent [`Cluster::fire_shard`].
+    /// Ties resolve to the lowest shard id.
+    pub(super) fn peek_earliest(&self) -> Option<(SimTime, usize)> {
+        self.frontier.root()
+    }
+
+    /// Re-reads shard `s`'s queue head into the frontier. Whatever may
+    /// change a shard's queue calls this for that shard before the next
+    /// event is picked: the fired shard, the shard an arrival lands on,
+    /// both ends of a cross-shard or cross-region landing, and every shard
+    /// after a parallel window.
+    pub(super) fn refresh(&mut self, s: usize) {
+        let head = self.shards[s].queue.peek_time();
+        self.queue_counters.head_peeks += 1;
+        if self.frontier.update(s, head) {
+            self.queue_counters.frontier_refreshes += 1;
         }
     }
 
-    /// The earliest pending shard event as `(time, shard)`, if any — one
-    /// scan serves both the peek (for the arrival-vs-event race) and the
-    /// subsequent [`Cluster::fire_shard`]. Iterating in shard order with a
-    /// strict minimum makes ties resolve to the lowest shard id.
-    pub(super) fn peek_earliest(&mut self) -> Option<(SimTime, usize)> {
-        let mut best: Option<(SimTime, usize)> = None;
+    /// Re-reads every shard's queue head.
+    pub(super) fn refresh_all(&mut self) {
+        for s in 0..self.shards.len() {
+            self.refresh(s);
+        }
+    }
+
+    /// Debug shadow-check of the frontier: every leaf must equal its
+    /// shard's queue head, and the root the linear scan over the shards
+    /// (strict minimum in shard order, so ties go to the lowest id).
+    #[cfg(debug_assertions)]
+    pub(super) fn check_frontier(&mut self) {
+        let mut scan: Option<(SimTime, usize)> = None;
         for (s, shard) in self.shards.iter_mut().enumerate() {
-            if let Some(t) = shard.queue.peek_time() {
-                if best.is_none_or(|(bt, _)| t < bt) {
-                    best = Some((t, s));
+            let head = shard.queue.peek_time();
+            assert_eq!(
+                self.frontier.head(s),
+                head,
+                "stale frontier leaf for shard {s}: a path changed its queue \
+                 without a Cluster::refresh"
+            );
+            if let Some(t) = head {
+                if scan.is_none_or(|(bt, _)| t < bt) {
+                    scan = Some((t, s));
                 }
             }
         }
-        best
+        assert_eq!(
+            self.frontier.root(),
+            scan,
+            "frontier root disagrees with the scan"
+        );
     }
 
     /// Pops and dispatches shard `s`'s earliest event — the one
-    /// [`Cluster::peek_earliest`] just reported. The returned
-    /// [`ProfiledEvent`] tags what class of event fired, so the caller can
-    /// attribute wall-clock time to it when the hot-path profiler is on.
+    /// [`Cluster::peek_earliest`] just reported — and refreshes the shard's
+    /// frontier leaf. The returned [`ProfiledEvent`] tags what class of
+    /// event fired, so the caller can attribute wall-clock time to it when
+    /// the hot-path profiler is on.
     ///
     /// # Panics
     ///
@@ -161,7 +215,9 @@ impl<'a> Cluster<'a> {
             Event::CrossRegionDone { .. } => ProfiledEvent::CrossRegionDone,
             Event::FleetTransition { .. } | Event::AutoscaleTick => ProfiledEvent::Fleet,
         };
-        (self.dispatch(s, ev, now), kind)
+        let signal = self.dispatch(s, ev, now);
+        self.refresh(s);
+        (signal, kind)
     }
 
     /// Routes a trace arrival to a shard and delivers it — the
@@ -170,22 +226,25 @@ impl<'a> Cluster<'a> {
     /// at the same timestamp; load-oblivious routing skips the sweep
     /// entirely.
     pub(super) fn route_arrival(&mut self, idx: usize, now: SimTime) {
-        if self.shards.len() == 1 {
+        let shard = if self.shards.len() == 1 {
             self.shards[0].on_arrival(idx, now, None);
-            return;
-        }
-        if !self.config.router.needs_pool_state() {
+            0
+        } else if !self.config.router.needs_pool_state() {
             let shard = RouterPolicy::rotate(self.shards.len(), &mut self.router_cursor);
             self.shards[shard].on_arrival(idx, now, None);
-            return;
-        }
-        let mut all_stats: Vec<_> = self.shards.iter().map(|sh| sh.collect_stats(now)).collect();
-        let pools: Vec<PoolSnapshot> = all_stats
-            .iter()
-            .map(|stats| PoolSnapshot::aggregate(stats))
-            .collect();
-        let shard = self.config.router.route(&pools, &mut self.router_cursor);
-        self.shards[shard].on_arrival(idx, now, Some(all_stats.swap_remove(shard)));
+            shard
+        } else {
+            let mut all_stats: Vec<_> =
+                self.shards.iter().map(|sh| sh.collect_stats(now)).collect();
+            let pools: Vec<PoolSnapshot> = all_stats
+                .iter()
+                .map(|stats| PoolSnapshot::aggregate(stats))
+                .collect();
+            let shard = self.config.router.route(&pools, &mut self.router_cursor);
+            self.shards[shard].on_arrival(idx, now, Some(all_stats.swap_remove(shard)));
+            shard
+        };
+        self.refresh(shard);
     }
 
     /// Picks the shard an arrival would be routed to and returns its
@@ -606,6 +665,9 @@ impl<'a> Cluster<'a> {
         self.shards[from].check_drain_complete(from_local, now);
         self.shards[from].try_schedule(from_local, now);
         self.shards[to_shard].try_schedule(to_local, now);
+        // `fire_shard` refreshes the source; the landing may have launched
+        // an iteration on the destination.
+        self.refresh(to_shard);
     }
 
     /// Pushes one [`SeriesRow`] per shard plus one region-scope aggregate
@@ -715,15 +777,20 @@ pub(super) fn assert_drained(shards: &[Shard<'_>]) {
 }
 
 /// Collapses the drained shards into a [`SimOutput`] — the shared tail of
-/// the single-region and federated engines. `region_stats` starts empty;
-/// the caller fills it.
-pub(super) fn assemble_output(shards: Vec<Shard<'_>>) -> SimOutput {
-    // Scheduling-pass and monitor work counters reach the profiler here,
-    // once per shard (a no-op branch unless profiling is on).
+/// the single-region and federated engines. `frontier` carries the
+/// clusters' frontier work counters. `region_stats` starts empty; the
+/// caller fills it.
+pub(super) fn assemble_output(shards: Vec<Shard<'_>>, frontier: QueueCounters) -> SimOutput {
+    // Scheduling-pass, monitor and event-layer work counters reach the
+    // profiler here (a no-op branch unless profiling is on).
+    let mut queue = frontier;
     for sh in &shards {
         sh.telemetry.profile_sched(&sh.sched.counters);
         sh.telemetry.profile_monitor(&sh.monitor.counters.get());
+        queue.schedules += sh.queue.scheduled();
+        queue.pops += sh.queue.popped();
     }
+    shards[0].telemetry.profile_queue(&queue);
     // Only PASCAL consumes predictions (demotion, placement); under
     // the baselines a predictor is purely observational — calibration
     // samples are still logged, but the run's behavior is identical to
@@ -849,17 +916,27 @@ impl<'a> Engine<'a> {
         &self.cluster.shards
     }
 
+    /// Timestamp of the next undelivered trace arrival, if any.
+    fn next_arrival(&self) -> Option<SimTime> {
+        self.arrival_order
+            .get(self.next_arrival)
+            .map(|&idx| self.trace.requests()[idx].arrival)
+    }
+
+    /// The globally next event: arrivals win ties, then the frontier root
+    /// (lowest shard id among equal times).
+    fn next_event(&self) -> Option<NextEvent<usize>> {
+        NextEvent::pick(self.next_arrival(), self.cluster.peek_earliest())
+    }
+
     /// Fires the globally earliest pending event (arrivals win ties, then
     /// lowest shard id). Returns `false` once the cluster has drained.
     pub(super) fn step(&mut self) -> bool {
-        let arrival = self
-            .arrival_order
-            .get(self.next_arrival)
-            .map(|&idx| self.trace.requests()[idx].arrival);
-        let shard_ev = self.cluster.peek_earliest();
-        match (arrival, shard_ev) {
-            (None, None) => false,
-            (Some(at), shard) if shard.is_none_or(|(t, _)| at <= t) => {
+        #[cfg(debug_assertions)]
+        self.cluster.check_frontier();
+        match self.next_event() {
+            None => false,
+            Some(NextEvent::Arrival(at)) => {
                 let t0 = self.telemetry.profile_timer();
                 let idx = self.arrival_order[self.next_arrival];
                 self.next_arrival += 1;
@@ -867,7 +944,7 @@ impl<'a> Engine<'a> {
                 self.telemetry.profile_record(ProfiledEvent::Arrival, t0);
                 true
             }
-            (_, Some((_, s))) => {
+            Some(NextEvent::Shard(_, s)) => {
                 let t0 = self.telemetry.profile_timer();
                 let (signal, kind) = self.cluster.fire_shard(s);
                 self.telemetry.profile_record(kind, t0);
@@ -877,7 +954,6 @@ impl<'a> Engine<'a> {
                 );
                 true
             }
-            (Some(_), None) => unreachable!("arrival case handled by the guard above"),
         }
     }
 
@@ -899,7 +975,7 @@ impl<'a> Engine<'a> {
         }
         assert_drained(&self.cluster.shards);
         let config = self.config;
-        let mut out = assemble_output(self.cluster.shards);
+        let mut out = assemble_output(self.cluster.shards, self.cluster.queue_counters);
         out.telemetry = self.telemetry.finish();
         // The whole cluster is one region at the federation's level of
         // description: all arrivals originate and are served here.
@@ -926,15 +1002,7 @@ impl super::driver::EventDriver for Engine<'_> {
     /// Timestamp of the globally next pending event (arrival or shard
     /// event), if any.
     fn next_event_time(&mut self) -> Option<SimTime> {
-        let arrival = self
-            .arrival_order
-            .get(self.next_arrival)
-            .map(|&idx| self.trace.requests()[idx].arrival);
-        let shard = self.cluster.peek_earliest().map(|(t, _)| t);
-        match (arrival, shard) {
-            (Some(a), Some(s)) => Some(a.min(s)),
-            (a, s) => a.or(s),
-        }
+        self.next_event().map(|e| e.time())
     }
 
     fn step(&mut self) -> bool {
@@ -948,9 +1016,7 @@ impl super::driver::EventDriver for Engine<'_> {
 
 impl super::parallel::WindowedEngine for Engine<'_> {
     fn next_arrival_time(&self) -> Option<SimTime> {
-        self.arrival_order
-            .get(self.next_arrival)
-            .map(|&idx| self.trace.requests()[idx].arrival)
+        self.next_arrival()
     }
 
     fn earliest_barrier(&mut self) -> Option<SimTime> {
@@ -973,5 +1039,9 @@ impl super::parallel::WindowedEngine for Engine<'_> {
                 .iter_mut()
                 .map(super::parallel::ShardPtr::new),
         );
+    }
+
+    fn refresh_frontier(&mut self) {
+        self.cluster.refresh_all();
     }
 }

@@ -11,6 +11,33 @@
 
 use pascal_sim::{SimDuration, SimTime};
 
+/// The globally next event, as both engines pick it: the next trace
+/// arrival wins timestamp ties against shard events; `S` locates the shard
+/// (`usize` in a cluster, `(region, shard)` in a federation).
+pub(super) enum NextEvent<S> {
+    /// The next trace arrival, at this time.
+    Arrival(SimTime),
+    /// The earliest shard event: its time and its shard.
+    Shard(SimTime, S),
+}
+
+impl<S> NextEvent<S> {
+    /// Races the next arrival against the earliest shard event.
+    pub(super) fn pick(arrival: Option<SimTime>, shard: Option<(SimTime, S)>) -> Option<Self> {
+        match shard {
+            Some((t, s)) if arrival.is_none_or(|at| at > t) => Some(NextEvent::Shard(t, s)),
+            _ => arrival.map(NextEvent::Arrival),
+        }
+    }
+
+    /// When the event fires.
+    pub(super) fn time(&self) -> SimTime {
+        match *self {
+            NextEvent::Arrival(t) | NextEvent::Shard(t, _) => t,
+        }
+    }
+}
+
 /// The engine operations the shared loop drives. Implemented by both the
 /// cluster and federation engines; also the seam the windowed parallel
 /// executor plugs into (see [`super::parallel`]).

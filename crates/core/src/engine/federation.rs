@@ -34,7 +34,7 @@ use pascal_federation::{spill_order, FederationPolicy, FederationSpec, WanTopolo
 use pascal_metrics::{AdmissionCounters, MigrationRecord, RegionStats};
 use pascal_sched::{best_escape_shard, cross_region_escape_target, MigrationCost};
 use pascal_sim::SimTime;
-use pascal_telemetry::{EscapeTier, ProfiledEvent, TelemetryHandle, TraceEventKind};
+use pascal_telemetry::{EscapeTier, ProfiledEvent, QueueCounters, TelemetryHandle, TraceEventKind};
 use pascal_workload::{RequestId, Trace};
 
 use crate::config::SimConfig;
@@ -43,6 +43,7 @@ use super::admission::AdmissionProbe;
 use super::cluster::{
     assemble_output, assert_drained, validate_trace_fits, Cluster, ClusterSignal,
 };
+use super::driver::NextEvent;
 use super::{context_kv_bytes, EscapeCandidate, Event, Shard, SimOutput};
 
 /// One region at runtime: its cluster plus the federation-boundary tallies.
@@ -115,25 +116,39 @@ impl<'a> FederationEngine<'a> {
         }
     }
 
+    /// Timestamp of the next undelivered trace arrival, if any.
+    fn next_arrival(&self) -> Option<SimTime> {
+        self.arrival_order
+            .get(self.next_arrival)
+            .map(|&idx| self.trace.requests()[idx].arrival)
+    }
+
+    /// The globally next event: arrivals win ties, then the earliest of
+    /// the regions' frontier roots (lowest region id among equal times,
+    /// lowest shard id within the region).
+    fn next_event(&self) -> Option<NextEvent<(usize, usize)>> {
+        let mut earliest: Option<(SimTime, (usize, usize))> = None;
+        for (r, region) in self.regions.iter().enumerate() {
+            if let Some((t, s)) = region.cluster.peek_earliest() {
+                if earliest.is_none_or(|(best, _)| t < best) {
+                    earliest = Some((t, (r, s)));
+                }
+            }
+        }
+        NextEvent::pick(self.next_arrival(), earliest)
+    }
+
     /// Fires the globally earliest pending event (arrivals win ties, then
     /// lowest region id, then lowest shard id within the region). Returns
     /// `false` once the federation has drained.
     fn step(&mut self) -> bool {
-        let arrival = self
-            .arrival_order
-            .get(self.next_arrival)
-            .map(|&idx| self.trace.requests()[idx].arrival);
-        let mut region_ev: Option<(SimTime, usize, usize)> = None;
-        for (r, region) in self.regions.iter_mut().enumerate() {
-            if let Some((t, s)) = region.cluster.peek_earliest() {
-                if region_ev.is_none_or(|(best, _, _)| t < best) {
-                    region_ev = Some((t, r, s));
-                }
-            }
+        #[cfg(debug_assertions)]
+        for region in &mut self.regions {
+            region.cluster.check_frontier();
         }
-        match (arrival, region_ev) {
-            (None, None) => false,
-            (Some(at), region) if region.is_none_or(|(t, _, _)| at <= t) => {
+        match self.next_event() {
+            None => false,
+            Some(NextEvent::Arrival(at)) => {
                 let t0 = self.telemetry.profile_timer();
                 let idx = self.arrival_order[self.next_arrival];
                 self.next_arrival += 1;
@@ -141,7 +156,7 @@ impl<'a> FederationEngine<'a> {
                 self.telemetry.profile_record(ProfiledEvent::Arrival, t0);
                 true
             }
-            (_, Some((_, r, s))) => {
+            Some(NextEvent::Shard(_, (r, s))) => {
                 let t0 = self.telemetry.profile_timer();
                 let (signal, kind) = self.regions[r].cluster.fire_shard(s);
                 match signal {
@@ -156,6 +171,7 @@ impl<'a> FederationEngine<'a> {
                             self.consider_cross_region_escape(r, shard, candidate, now);
                         }
                         self.regions[r].cluster.shards[shard].try_schedule(instance, now);
+                        self.regions[r].cluster.refresh(shard);
                     }
                     ClusterSignal::CrossRegionArrived {
                         shard,
@@ -179,7 +195,6 @@ impl<'a> FederationEngine<'a> {
                 self.telemetry.profile_record(kind, t0);
                 true
             }
-            (Some(_), None) => unreachable!("arrival case handled by the guard above"),
         }
     }
 
@@ -280,6 +295,7 @@ impl<'a> FederationEngine<'a> {
         sh.routed_arrivals += 1;
         sh.admission_commit_admit();
         sh.place_arrival(spec, stats, now);
+        self.regions[region].cluster.refresh(shard);
     }
 
     /// One cross-region migration decision for an escape candidate no
@@ -581,6 +597,8 @@ impl<'a> FederationEngine<'a> {
         // The source just lost a member; a draining source may now be empty.
         self.regions[from_r].cluster.shards[from_s].check_drain_complete(from_local, now);
         self.regions[from_r].cluster.shards[from_s].try_schedule(from_local, now);
+        self.regions[to_r].cluster.refresh(to_s);
+        self.regions[from_r].cluster.refresh(from_s);
     }
 
     pub(crate) fn run(mut self) -> SimOutput {
@@ -630,13 +648,17 @@ impl<'a> FederationEngine<'a> {
             })
             .collect();
 
+        let mut frontier = QueueCounters::default();
+        for region in &self.regions {
+            frontier.absorb(&region.cluster.queue_counters);
+        }
         let shards: Vec<Shard<'a>> = self
             .regions
             .into_iter()
             .flat_map(|region| region.cluster.shards)
             .collect();
         assert_drained(&shards);
-        let mut out = assemble_output(shards);
+        let mut out = assemble_output(shards, frontier);
         out.region_stats = region_stats;
         out.telemetry = self.telemetry.finish();
         out
@@ -647,22 +669,7 @@ impl super::driver::EventDriver for FederationEngine<'_> {
     /// Timestamp of the globally next pending event (arrival or any
     /// region's shard event), if any.
     fn next_event_time(&mut self) -> Option<SimTime> {
-        let arrival = self
-            .arrival_order
-            .get(self.next_arrival)
-            .map(|&idx| self.trace.requests()[idx].arrival);
-        let mut earliest: Option<SimTime> = None;
-        for region in self.regions.iter_mut() {
-            if let Some((t, _)) = region.cluster.peek_earliest() {
-                if earliest.is_none_or(|best| t < best) {
-                    earliest = Some(t);
-                }
-            }
-        }
-        match (arrival, earliest) {
-            (Some(a), Some(e)) => Some(a.min(e)),
-            (a, e) => a.or(e),
-        }
+        self.next_event().map(|e| e.time())
     }
 
     fn step(&mut self) -> bool {
@@ -683,9 +690,7 @@ impl super::driver::EventDriver for FederationEngine<'_> {
 
 impl super::parallel::WindowedEngine for FederationEngine<'_> {
     fn next_arrival_time(&self) -> Option<SimTime> {
-        self.arrival_order
-            .get(self.next_arrival)
-            .map(|&idx| self.trace.requests()[idx].arrival)
+        self.next_arrival()
     }
 
     fn earliest_barrier(&mut self) -> Option<SimTime> {
@@ -710,5 +715,11 @@ impl super::parallel::WindowedEngine for FederationEngine<'_> {
                 .flat_map(|region| region.cluster.shards.iter_mut())
                 .map(super::parallel::ShardPtr::new),
         );
+    }
+
+    fn refresh_frontier(&mut self) {
+        for region in &mut self.regions {
+            region.cluster.refresh_all();
+        }
     }
 }

@@ -4,7 +4,7 @@
 //!
 //! The [`FleetSpec`](crate::fleet::FleetSpec) on the config is resolved
 //! into per-instance transitions at shard construction and injected
-//! through the shard's calendar event queue — fleet changes are ordinary
+//! through the shard's event queue — fleet changes are ordinary
 //! simulation events, totally ordered with everything else, so a fleet run
 //! is byte-identical at any thread count. An absent (or empty) spec
 //! schedules nothing and writes nothing: the static-fleet hot path only

@@ -90,6 +90,7 @@ mod cluster;
 mod driver;
 mod federation;
 mod fleet_rt;
+mod frontier;
 mod lifecycle;
 mod migration;
 mod monitor;

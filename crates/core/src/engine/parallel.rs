@@ -188,6 +188,9 @@ pub(super) trait WindowedEngine: super::driver::EventDriver {
     /// region). Called once per window so pointer provenance never spans
     /// a coordinator mutation.
     fn push_shard_ptrs(&mut self, out: &mut Vec<ShardPtr>);
+    /// Re-reads every shard's queue head into the next-event frontier —
+    /// a window may have drained any of them.
+    fn refresh_frontier(&mut self);
 }
 
 /// Shared coordinator/worker state, guarded by one mutex. Workers wake on
@@ -386,6 +389,7 @@ pub(super) fn run_windowed<D: WindowedEngine>(
             // barrier here — both cap the horizon.)
             engine.push_shard_ptrs(&mut ptrs);
             let drained = pool.run_window(&ptrs, horizon);
+            engine.refresh_frontier();
             telemetry.profile_window(drained);
             if let Some(h) = horizon {
                 committed = h;

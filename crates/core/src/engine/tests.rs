@@ -487,6 +487,31 @@ mod sharding {
         assert_eq!(crossed, m.cross_shard_launched);
     }
 
+    /// One instance per shard: a cross-shard landing can find the
+    /// destination's only instance idle and its queue empty, so the landing
+    /// itself schedules the destination's next event. That moves the
+    /// destination's queue head, which the next-event frontier must pick
+    /// up; debug builds check the frontier against a scan at every step.
+    #[test]
+    fn cross_shard_landing_can_wake_an_idle_destination() {
+        let trace = cluster_trace(100, 4.0, 3);
+        let mut config = saturated_two_shard_config(RouterPolicy::RoundRobin);
+        config.num_instances = 2;
+        config.kv_capacity = KvCapacityMode::FractionOfPhysical(0.15);
+        let out = run_simulation(&trace, &config);
+        assert_eq!(out.records.len(), 100);
+        let m = &out.migration_outcomes;
+        assert!(m.cross_shard_launched > 0, "{m:?}");
+        assert_eq!(
+            m.cross_shard_launched,
+            out.shard_stats
+                .iter()
+                .map(|s| s.cross_shard_in)
+                .sum::<u64>(),
+            "every launched escape lands somewhere"
+        );
+    }
+
     #[test]
     fn cross_shard_escapes_price_the_interconnect_not_the_fabric() {
         // With an absurd benefit ratio every escape that reaches the cost
@@ -1142,6 +1167,44 @@ mod sched_pass_complexity {
         assert!(
             entries_per_row < depth / 3.0,
             "a row scans {entries_per_row:.1} pace entries at mean depth {depth:.1}: {monitor:?}"
+        );
+    }
+}
+
+mod event_frontier {
+    use pascal_telemetry::TelemetryConfig;
+
+    /// Picking the next event does not grow with the shard count. On the
+    /// stress-smoke topology — 128 instances in 64 shards, least-loaded
+    /// routing — at a test-sized trace, the frontier re-reads only the
+    /// queue heads an event may have moved: the fired shard, an arrival's
+    /// shard, both ends of a cross-shard landing. A linear scan over the
+    /// shards reads 64 heads per event and fails the bound.
+    #[test]
+    fn next_event_selection_is_shard_count_independent() {
+        let mut spec = crate::sweep::SweepGrid::preset("stress-smoke")
+            .expect("preset exists")
+            .expand()[0];
+        assert_eq!((spec.instances, spec.shards), (128, 64));
+        spec.count = 400;
+        let profile = spec
+            .run_with_telemetry(TelemetryConfig {
+                profile: true,
+                ..TelemetryConfig::default()
+            })
+            .telemetry
+            .and_then(|t| t.profile)
+            .expect("profiling was on");
+        let queue = profile.queue;
+        let arrivals = profile.rows[0].count;
+        assert_eq!(profile.rows[0].name, "arrival");
+        assert_eq!(queue.pops + arrivals, profile.events, "{queue:?}");
+        assert_eq!(queue.schedules, queue.pops, "the run drained: {queue:?}");
+        assert!(queue.frontier_refreshes <= queue.head_peeks, "{queue:?}");
+        let peeks_per_event = queue.head_peeks as f64 / profile.events as f64;
+        assert!(
+            peeks_per_event <= 3.0,
+            "{peeks_per_event:.2} head peeks per event on 64 shards: {queue:?}"
         );
     }
 }

@@ -4,7 +4,7 @@
 //! instances joining and leaving, planned drains, whole-shard and
 //! whole-region outages, standby capacity and a reactive autoscaler. The
 //! schedule is resolved into per-instance [`InstanceTransition`]s at
-//! engine construction and injected through the per-shard calendar event
+//! engine construction and injected through the per-shard event
 //! queues, so a fleet run is exactly as deterministic as a static one —
 //! byte-identical at any thread count. An empty spec (the default) leaves
 //! the engine untouched.

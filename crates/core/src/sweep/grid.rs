@@ -122,8 +122,9 @@ impl SweepGrid {
     ///   sized for the CI perf gate like `ci`;
     /// * `stress` — the engine-capacity cell: ten million mixed-trace
     ///   requests on a 128-instance cluster split into 64 shards under
-    ///   PASCAL (1 cell). Minutes of wall clock even after the slab +
-    ///   calendar-queue overhaul; run it deliberately, never in CI;
+    ///   PASCAL (1 cell). Minutes of wall clock even with slab storage,
+    ///   the indexed scheduling pass and the event frontier; run it
+    ///   deliberately, never in CI;
     /// * `stress-smoke` — the same 64-shard × 128-instance topology with
     ///   the trace scaled down to 2000 requests (1 cell): the CI-sized
     ///   proof that the stress configuration schedules, migrates and

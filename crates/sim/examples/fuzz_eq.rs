@@ -8,49 +8,49 @@ fn lcg(state: &mut u64) -> u64 {
 }
 
 fn run_ops(ops: &[(u32, u64)]) -> Result<(), String> {
-    let mut cal = EventQueue::new();
+    let mut queue = EventQueue::new();
     let mut heap = HeapEventQueue::new();
     let mut ids = Vec::new();
     for (n, &(opcode, operand)) in ops.iter().enumerate() {
         match opcode % 100 {
             0..=49 => {
-                let t = cal.now() + SimDuration::from_nanos(operand);
-                let a = cal.schedule(t, n);
+                let t = queue.now() + SimDuration::from_nanos(operand);
+                let a = queue.schedule(t, n);
                 let b = heap.schedule(t, n);
                 ids.push((a, b));
             }
             50..=69 => {
                 if !ids.is_empty() {
                     let (a, b) = ids[(operand % ids.len() as u64) as usize];
-                    if cal.cancel(a) != heap.cancel(b) {
+                    if queue.cancel(a) != heap.cancel(b) {
                         return Err(format!("cancel mismatch at op {n}"));
                     }
                 }
             }
             70..=94 => {
-                let (x, y) = (cal.pop(), heap.pop());
+                let (x, y) = (queue.pop(), heap.pop());
                 if x != y {
-                    return Err(format!("pop mismatch at op {n}: cal={x:?} heap={y:?}"));
+                    return Err(format!("pop mismatch at op {n}: queue={x:?} heap={y:?}"));
                 }
             }
             _ => {
-                if cal.peek_time() != heap.peek_time() {
+                if queue.peek_time() != heap.peek_time() {
                     return Err(format!("peek mismatch at op {n}"));
                 }
             }
         }
-        if cal.len() != heap.len() {
+        if queue.len() != heap.len() {
             return Err(format!(
                 "len mismatch at op {n}: {} vs {}",
-                cal.len(),
+                queue.len(),
                 heap.len()
             ));
         }
     }
     loop {
-        let (x, y) = (cal.pop(), heap.pop());
+        let (x, y) = (queue.pop(), heap.pop());
         if x != y {
-            return Err(format!("drain mismatch: cal={x:?} heap={y:?}"));
+            return Err(format!("drain mismatch: queue={x:?} heap={y:?}"));
         }
         if y.is_none() {
             break;

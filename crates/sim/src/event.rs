@@ -26,32 +26,19 @@
 //!
 //! # Implementation
 //!
-//! The queue is a **calendar queue** (Brown 1988) rather than a binary
-//! heap. Time is divided into width-`2^shift`-nanosecond *days* (buckets);
-//! `nbuckets` days make a *year*. An event is filed into bucket
-//! `(t >> shift) & (nbuckets - 1)` — its day, whatever its year — so
-//! scheduling is a shift-and-mask plus a `Vec::push`.
-//!
-//! Popping walks the calendar: the cursor bucket's entries that fall inside
-//! the current day are extracted, sorted once, and drained from the back as
-//! a *ready run* — so bursts of same-timestamp events are batch-sorted and
-//! then popped at `Vec::pop` cost, and new events scheduled inside the
-//! already-open day merge into the run by binary insertion. The calendar
-//! re-sizes around the surviving population (bucket count tracks the
-//! number of pending events, day width tracks their span) on two
-//! triggers: when a whole year passes without an eligible event (the
-//! queue thinned out or its times jumped ahead), and — Brown's occupancy
-//! rule — when the live population outgrows the bucket count 2:1, so a
-//! dense queue cannot degenerate into a few giant buckets.
+//! The queue is a binary min-heap on `(time, sequence)`. The engine keeps
+//! one queue per shard, and a shard's pending population is small — a few
+//! events per instance (iteration completions, transfers, fleet ticks);
+//! trace arrivals never enter it — so a heap's `O(log n)` schedule and pop
+//! touch only a handful of cache lines, and its head is an `O(1)` peek.
 //!
 //! Cancellation is O(1) without hashing: every pending event owns a slot in
 //! a generation-stamped slot table and [`EventId`] packs `(slot, generation)`.
-//! Cancelled entries become tombstones that are *compacted*, not carried for
-//! the run's lifetime: they are purged when their bucket is opened, when
-//! they surface at the back of the ready run, and wholesale whenever
-//! tombstones outnumber live events — so memory tracks the live population,
-//! not the cancellation history.
-
+//! A cancelled entry becomes a tombstone that stays in the heap until it
+//! surfaces at the top, where peeks and pops skim it; tombstones are also
+//! swept wholesale whenever they outnumber live events — so memory tracks
+//! the live population, not the cancellation history.
+//!
 //! # Barrier events
 //!
 //! A scheduled event may be flagged as a **barrier**
@@ -66,7 +53,7 @@
 //! without global coordination. Cancelled barriers are removed lazily
 //! (a dead-set consulted when they surface at the heap top).
 
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, HashSet};
 
 use crate::time::SimTime;
@@ -107,9 +94,22 @@ struct Entry<E> {
     payload: E,
 }
 
-impl<E> Entry<E> {
-    fn key(&self) -> (SimTime, u64) {
-        (self.time, self.seq)
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.seq == other.seq
+    }
+}
+impl<E> Eq for Entry<E> {}
+impl<E> PartialOrd for Entry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<E> Ord for Entry<E> {
+    /// Reversed `(time, seq)`: `BinaryHeap` is a max-heap, so the earliest
+    /// event sits at the top.
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.time, other.seq).cmp(&(self.time, self.seq))
     }
 }
 
@@ -132,12 +132,6 @@ struct Slot {
     barrier: bool,
 }
 
-/// Initial day width: `2^20` ns ≈ 1 ms.
-const INITIAL_SHIFT: u32 = 20;
-/// Initial calendar size; re-sized to track the live population.
-const INITIAL_BUCKETS: usize = 16;
-/// Calendar size ceiling — beyond this, wider days are used instead.
-const MAX_BUCKETS: usize = 1 << 16;
 /// Compaction slack: a wholesale tombstone sweep runs only once tombstones
 /// exceed `live + COMPACT_SLACK`, so small queues never churn.
 const COMPACT_SLACK: usize = 32;
@@ -156,17 +150,8 @@ const COMPACT_SLACK: usize = 32;
 /// assert_eq!((t.as_nanos(), e), (10, "early"));
 /// ```
 pub struct EventQueue<E> {
-    /// The open day's batch: entries with `time < day_start`, sorted
-    /// **descending** by `(time, seq)` and popped from the back.
-    ready: Vec<Entry<E>>,
-    /// The calendar: bucket `(t >> shift) & (buckets.len() - 1)` holds every
-    /// pending entry whose day is congruent to it, whatever the year.
-    buckets: Vec<Vec<Entry<E>>>,
-    /// log2 of the day width in nanoseconds.
-    shift: u32,
-    /// Exclusive upper bound of the open day, a multiple of the day width.
-    /// No pending bucket entry is earlier; entries below it live in `ready`.
-    day_start: u64,
+    /// Every physically present entry, live or tombstoned, earliest on top.
+    heap: BinaryHeap<Entry<E>>,
     /// Cancellation slots, indexed by `EventId::slot`.
     slots: Vec<Slot>,
     free_slots: Vec<u32>,
@@ -179,7 +164,10 @@ pub struct EventQueue<E> {
     /// Sequence numbers of cancelled barriers still in `barriers`,
     /// skimmed lazily when they surface at the heap top.
     dead_barriers: HashSet<u64>,
+    /// Schedules so far; also the next sequence number.
     next_seq: u64,
+    /// Events popped so far.
+    pops: u64,
     now: SimTime,
 }
 
@@ -203,10 +191,7 @@ impl<E> EventQueue<E> {
     #[must_use]
     pub fn new() -> Self {
         EventQueue {
-            ready: Vec::new(),
-            buckets: (0..INITIAL_BUCKETS).map(|_| Vec::new()).collect(),
-            shift: INITIAL_SHIFT,
-            day_start: 0,
+            heap: BinaryHeap::new(),
             slots: Vec::new(),
             free_slots: Vec::new(),
             tombstones: 0,
@@ -214,6 +199,7 @@ impl<E> EventQueue<E> {
             barriers: BinaryHeap::new(),
             dead_barriers: HashSet::new(),
             next_seq: 0,
+            pops: 0,
             now: SimTime::ZERO,
         }
     }
@@ -223,10 +209,6 @@ impl<E> EventQueue<E> {
     #[must_use]
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    fn width(&self) -> u64 {
-        1u64 << self.shift
     }
 
     fn alloc_slot(&mut self, seq: u64, barrier: bool) -> (u32, u32) {
@@ -256,10 +238,6 @@ impl<E> EventQueue<E> {
         s.state = SlotState::Free;
         s.generation = s.generation.wrapping_add(1);
         self.free_slots.push(slot);
-    }
-
-    fn slot_cancelled(&self, slot: u32) -> bool {
-        self.slots[slot as usize].state == SlotState::Cancelled
     }
 
     /// Schedules `payload` to fire at `time` and returns a cancellation handle.
@@ -300,55 +278,23 @@ impl<E> EventQueue<E> {
         if barrier {
             self.barriers.push(Reverse((time, seq)));
         }
-        let entry = Entry {
+        self.heap.push(Entry {
             time,
             seq,
             slot,
             barrier,
             payload,
-        };
-        let t = time.as_nanos();
-        if t < self.day_start {
-            // Inside the already-open day: merge into the sorted ready run.
-            // `seq` is larger than every pending event's, so among equal
-            // timestamps the new entry lands closest to the front (fires
-            // last) — FIFO holds.
-            let key = (time, seq);
-            let at = self.ready.partition_point(|e| e.key() > key);
-            self.ready.insert(at, entry);
-        } else {
-            let mask = self.buckets.len() - 1;
-            let idx = ((t >> self.shift) as usize) & mask;
-            self.buckets[idx].push(entry);
-            self.maybe_grow();
-        }
+        });
         EventId::new(slot, generation)
-    }
-
-    /// Brown-style occupancy trigger: grows the calendar once the live
-    /// population outnumbers the buckets 2:1. The empty-year rebuild in
-    /// `refill_ready` only fires when the queue *thins out*; a dense queue
-    /// that keeps every day occupied would otherwise stay on its current
-    /// calendar forever, degenerate into a few giant buckets, and pay an
-    /// O(population) ready-run insert on every same-day schedule. Runs only
-    /// while the ready run is drained — the state `rebuild` expects — and
-    /// amortizes to O(1) per schedule by the usual doubling argument.
-    fn maybe_grow(&mut self) {
-        if self.ready.is_empty()
-            && self.live > 2 * self.buckets.len()
-            && self.buckets.len() < MAX_BUCKETS
-        {
-            self.rebuild();
-        }
     }
 
     /// Cancels a previously scheduled event.
     ///
     /// Returns `true` if the event had not yet fired or been cancelled.
     /// Cancelling an already-fired event is a no-op that returns `false`.
-    /// The entry becomes a tombstone that is compacted away — by bucket
-    /// drain, ready-run skip, or a wholesale sweep once tombstones
-    /// outnumber live events — instead of living until its timestamp.
+    /// The entry becomes a tombstone that is compacted away — skimmed when
+    /// it surfaces at the heap top, or swept once tombstones outnumber live
+    /// events — instead of living until its timestamp.
     pub fn cancel(&mut self, id: EventId) -> bool {
         let slot = id.slot() as usize;
         match self.slots.get_mut(slot) {
@@ -368,24 +314,19 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Purges every tombstone from every structure, reaping their slots.
-    /// Runs only when tombstones outnumber live events, so its cost
-    /// amortizes to O(1) per cancellation.
+    /// Purges every tombstone from the heap, reaping their slots. Runs only
+    /// when tombstones outnumber live events, so its cost amortizes to O(1)
+    /// per cancellation.
     fn compact(&mut self) {
         let mut reaped: Vec<u32> = Vec::with_capacity(self.tombstones);
         let slots = &self.slots;
-        let keep = |e: &Entry<E>, reaped: &mut Vec<u32>| {
-            if slots[e.slot as usize].state == SlotState::Cancelled {
+        self.heap.retain(|e| {
+            let dead = slots[e.slot as usize].state == SlotState::Cancelled;
+            if dead {
                 reaped.push(e.slot);
-                false
-            } else {
-                true
             }
-        };
-        self.ready.retain(|e| keep(e, &mut reaped));
-        for bucket in &mut self.buckets {
-            bucket.retain(|e| keep(e, &mut reaped));
-        }
+            !dead
+        });
         self.tombstones -= reaped.len();
         for slot in reaped {
             self.reap_slot(slot);
@@ -393,125 +334,19 @@ impl<E> EventQueue<E> {
         debug_assert_eq!(self.tombstones, 0, "compaction must purge every tombstone");
     }
 
-    /// Drops tombstones from the back of the ready run so its last entry,
-    /// if any, is live.
-    fn skim_ready(&mut self) {
-        while let Some(e) = self.ready.last() {
-            if self.slot_cancelled(e.slot) {
-                let slot = e.slot;
-                self.ready.pop();
-                self.tombstones -= 1;
-                self.reap_slot(slot);
-            } else {
-                return;
-            }
-        }
-    }
-
-    /// Refills the ready run by walking the calendar (re-sizing it and
-    /// jumping to the earliest event's day if a whole year passes without
-    /// an eligible event). Returns `false` iff no live event remains.
-    /// On return `true`, the back of `ready` is a live entry.
-    fn refill_ready(&mut self) -> bool {
-        loop {
-            self.skim_ready();
-            if !self.ready.is_empty() {
-                return true;
-            }
-            if self.live == 0 {
-                return false;
-            }
-            let mask = self.buckets.len() - 1;
-            let mut days = 0;
-            let year = self.buckets.len();
-            while days < year {
-                let idx = ((self.day_start >> self.shift) as usize) & mask;
-                let day_end = self.day_start.saturating_add(self.width());
-                if !self.buckets[idx].is_empty() {
-                    // Open the day: extract entries inside it (residents of
-                    // later years with the same day index stay behind) and
-                    // purge tombstones while the bucket is hot.
-                    let mut batch = std::mem::take(&mut self.buckets[idx]);
-                    let mut kept = Vec::new();
-                    for entry in batch.drain(..) {
-                        if self.slots[entry.slot as usize].state == SlotState::Cancelled {
-                            self.tombstones -= 1;
-                            self.reap_slot(entry.slot);
-                        } else if entry.time.as_nanos() < day_end {
-                            self.ready.push(entry);
-                        } else {
-                            kept.push(entry);
-                        }
-                    }
-                    self.buckets[idx] = kept;
-                }
-                self.day_start = day_end;
-                days += 1;
-                if !self.ready.is_empty() {
-                    // One sort per day, then the whole batch drains at
-                    // Vec::pop cost — same-timestamp bursts pop
-                    // back-to-back without touching the calendar again.
-                    self.ready
-                        .sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
-                    return true;
-                }
-            }
-            // A whole year without an eligible event: re-size the calendar
-            // around the survivors and jump to the earliest day.
-            self.rebuild();
-        }
-    }
-
-    /// Re-sizes the calendar around the pending population: bucket count
-    /// tracks the number of events, day width their span, and the cursor
-    /// jumps to the earliest event's day. Also purges every tombstone.
-    fn rebuild(&mut self) {
-        let mut all: Vec<Entry<E>> = Vec::with_capacity(self.live);
-        let mut reaped: Vec<u32> = Vec::new();
-        for bucket in &mut self.buckets {
-            for entry in bucket.drain(..) {
-                if self.slots[entry.slot as usize].state == SlotState::Cancelled {
-                    reaped.push(entry.slot);
-                } else {
-                    all.push(entry);
-                }
-            }
-        }
-        self.tombstones -= reaped.len();
-        for slot in reaped {
-            self.reap_slot(slot);
-        }
-        debug_assert_eq!(all.len(), self.live, "ready is empty during rebuild");
-        if all.is_empty() {
+    /// Drops tombstones from the heap top so the top entry, if any, is live.
+    fn skim(&mut self) {
+        if self.tombstones == 0 {
             return;
         }
-        let mut min_t = u64::MAX;
-        let mut max_t = 0u64;
-        for e in &all {
-            let t = e.time.as_nanos();
-            min_t = min_t.min(t);
-            max_t = max_t.max(t);
-        }
-        let target = all
-            .len()
-            .clamp(INITIAL_BUCKETS, MAX_BUCKETS)
-            .next_power_of_two();
-        // Smallest day width such that the whole span fits inside one year,
-        // so the very next walk is guaranteed to open a non-empty day.
-        let span = max_t - min_t;
-        let mut shift = 0u32;
-        while shift < 63 && (span >> shift) >= target as u64 {
-            shift += 1;
-        }
-        self.shift = shift;
-        self.day_start = min_t & !(self.width() - 1);
-        if self.buckets.len() != target {
-            self.buckets = (0..target).map(|_| Vec::new()).collect();
-        }
-        let mask = target - 1;
-        for entry in all {
-            let idx = ((entry.time.as_nanos() >> self.shift) as usize) & mask;
-            self.buckets[idx].push(entry);
+        while let Some(e) = self.heap.peek() {
+            let slot = e.slot;
+            if self.slots[slot as usize].state != SlotState::Cancelled {
+                return;
+            }
+            self.heap.pop();
+            self.tombstones -= 1;
+            self.reap_slot(slot);
         }
     }
 
@@ -520,12 +355,11 @@ impl<E> EventQueue<E> {
     /// Returns `None` when the queue is exhausted. Cancelled events are
     /// silently discarded.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if !self.refill_ready() {
-            return None;
-        }
-        let entry = self.ready.pop().expect("refill_ready guarantees an entry");
+        self.skim();
+        let entry = self.heap.pop()?;
         self.reap_slot(entry.slot);
         self.live -= 1;
+        self.pops += 1;
         if entry.barrier {
             // Pops follow the global (time, seq) order, so a popping
             // barrier is the minimum pending barrier: it sits at the heap
@@ -543,19 +377,15 @@ impl<E> EventQueue<E> {
     ///
     /// This peeks past cancelled entries without firing anything.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        if !self.refill_ready() {
-            return None;
-        }
-        self.ready.last().map(|e| e.time)
+        self.skim();
+        self.heap.peek().map(|e| e.time)
     }
 
     /// Whether the next pending event (the one [`Self::pop`] would return)
     /// is a barrier.
     pub fn peek_is_barrier(&mut self) -> bool {
-        if !self.refill_ready() {
-            return false;
-        }
-        self.ready.last().is_some_and(|e| e.barrier)
+        self.skim();
+        self.heap.peek().is_some_and(|e| e.barrier)
     }
 
     /// The timestamp of the earliest pending (non-cancelled) barrier
@@ -589,13 +419,27 @@ impl<E> EventQueue<E> {
         self.len() == 0
     }
 
+    /// Events scheduled over the queue's lifetime (cancelled ones
+    /// included) — a deterministic work counter.
+    #[must_use]
+    pub fn scheduled(&self) -> u64 {
+        self.next_seq
+    }
+
+    /// Events popped over the queue's lifetime — a deterministic work
+    /// counter.
+    #[must_use]
+    pub fn popped(&self) -> u64 {
+        self.pops
+    }
+
     /// Physically stored entries (live + not-yet-compacted tombstones).
     /// Exposed so tests can assert tombstone compaction actually bounds
     /// memory; not part of the scheduling contract.
     #[doc(hidden)]
     #[must_use]
     pub fn physical_len(&self) -> usize {
-        self.live + self.tombstones
+        self.heap.len()
     }
 }
 
@@ -772,9 +616,9 @@ mod tests {
     }
 
     #[test]
-    fn spread_far_beyond_initial_calendar_pops_in_order() {
-        // Times spanning tens of seconds force calendar re-sizing (the
-        // initial year covers ~16 ms); order must still hold exactly.
+    fn spread_over_tens_of_seconds_pops_in_order() {
+        // Times scattered over tens of seconds, scheduled out of order;
+        // the pop order must still be exactly (time, insertion).
         let mut q = EventQueue::new();
         let times: Vec<u64> = (0..500u64)
             .map(|i| (i * 7_919_998_483) % 30_000_000_000)
@@ -831,58 +675,58 @@ mod tests {
             }
         }
 
-        /// The calendar queue and the reference binary-heap implementation
-        /// produce identical observable behaviour — pop results, cancel
-        /// return values, peek times, clocks and lengths — on arbitrary
+        /// The event queue and the reference implementation produce
+        /// identical observable behaviour — pop results, cancel return
+        /// values, peek times, clocks and lengths — on arbitrary
         /// interleavings of schedule/cancel/pop/peek. The reference is the
         /// executable spec of the (time, sequence) contract; this is the
-        /// equivalence proof for the calendar queue.
+        /// equivalence proof for the slot-table queue.
         ///
         /// Each op is an `(opcode, operand)` pair: opcodes below 50
-        /// schedule at `now + operand` (operands span sub-day to
-        /// beyond-year deltas so ready-run inserts, calendar inserts and
-        /// re-sizing jumps all get hit), 50..=69 cancel the
-        /// `operand % issued`-th handle, 70..=94 pop, the rest peek.
+        /// schedule at `now + operand` (operands span nanoseconds to a
+        /// fifth of a second, so same-time ties and wide spreads both get
+        /// hit), 50..=69 cancel the `operand % issued`-th handle, 70..=94
+        /// pop, the rest peek.
         #[test]
-        fn prop_calendar_queue_matches_reference_heap(
+        fn prop_event_queue_matches_reference_heap(
             ops in proptest::collection::vec((0u32..100, 0u64..200_000_000), 1..400)
         ) {
-            let mut cal = EventQueue::new();
+            let mut queue = EventQueue::new();
             let mut heap = HeapEventQueue::new();
             let mut ids = Vec::new();
             for (n, (opcode, operand)) in ops.into_iter().enumerate() {
                 match opcode {
                     0..=49 => {
-                        let t = cal.now() + crate::time::SimDuration::from_nanos(operand);
+                        let t = queue.now() + crate::time::SimDuration::from_nanos(operand);
                         // Roughly a third of schedules are barriers, so the
                         // barrier heap sees interleaved pops, cancels and
                         // lazy skims too.
                         let barrier = operand % 3 == 0;
-                        let a = cal.schedule_flagged(t, n, barrier);
+                        let a = queue.schedule_flagged(t, n, barrier);
                         let b = heap.schedule_flagged(t, n, barrier);
                         ids.push((a, b));
                     }
                     50..=69 => {
                         if !ids.is_empty() {
                             let (a, b) = ids[(operand % ids.len() as u64) as usize];
-                            prop_assert_eq!(cal.cancel(a), heap.cancel(b));
+                            prop_assert_eq!(queue.cancel(a), heap.cancel(b));
                         }
                     }
                     70..=94 => {
-                        prop_assert_eq!(cal.pop(), heap.pop());
-                        prop_assert_eq!(cal.now(), heap.now());
+                        prop_assert_eq!(queue.pop(), heap.pop());
+                        prop_assert_eq!(queue.now(), heap.now());
                     }
                     _ => {
-                        prop_assert_eq!(cal.peek_time(), heap.peek_time());
-                        prop_assert_eq!(cal.peek_is_barrier(), heap.peek_is_barrier());
+                        prop_assert_eq!(queue.peek_time(), heap.peek_time());
+                        prop_assert_eq!(queue.peek_is_barrier(), heap.peek_is_barrier());
                     }
                 }
-                prop_assert_eq!(cal.peek_barrier_time(), heap.peek_barrier_time());
-                prop_assert_eq!(cal.len(), heap.len());
+                prop_assert_eq!(queue.peek_barrier_time(), heap.peek_barrier_time());
+                prop_assert_eq!(queue.len(), heap.len());
             }
             // Drain both to the end: full pop orders must coincide.
             loop {
-                let (a, b) = (cal.pop(), heap.pop());
+                let (a, b) = (queue.pop(), heap.pop());
                 prop_assert_eq!(&a, &b);
                 if b.is_none() {
                     break;

@@ -1,13 +1,13 @@
 //! The reference `BinaryHeap` future-event list.
 //!
-//! [`HeapEventQueue`] is the pre-calendar-queue implementation of the
+//! [`HeapEventQueue`] is the simplest implementation of the
 //! [`EventQueue`](super::EventQueue) contract, kept as the **executable
 //! specification** of the `(time, sequence)` total order and the
 //! cancellation semantics. It exists for two consumers:
 //!
-//! * the property test proving the calendar queue pops in exactly the same
-//!   order on arbitrary interleaved schedule/cancel/pop sequences, and
-//! * the queue-op microbenchmarks comparing old-vs-new cost at matched
+//! * the property test proving the slot-table queue pops in exactly the
+//!   same order on arbitrary interleaved schedule/cancel/pop sequences, and
+//! * the queue-op microbenchmarks comparing the two at matched
 //!   pending-event populations.
 //!
 //! It is intentionally the simple, obviously-correct version: a max-heap on

@@ -20,7 +20,8 @@ use pascal_sim::SimDuration;
 
 use crate::event::TraceEvent;
 use crate::profiler::{
-    HotPathProfiler, MonitorCounters, ProfileReport, ProfiledEvent, SchedPassCounters,
+    HotPathProfiler, MonitorCounters, ProfileReport, ProfiledEvent, QueueCounters,
+    SchedPassCounters,
 };
 use crate::series::SeriesRow;
 
@@ -232,6 +233,18 @@ impl TelemetryHandle {
         if let Some(inner) = &self.inner {
             if let Some(profiler) = inner.lock().expect("telemetry lock").profiler.as_mut() {
                 profiler.add_monitor(counters);
+            }
+        }
+    }
+
+    /// Adds the run's event-layer work counters to the profile.
+    pub fn profile_queue(&self, counters: &QueueCounters) {
+        if !self.profile_on {
+            return;
+        }
+        if let Some(inner) = &self.inner {
+            if let Some(profiler) = inner.lock().expect("telemetry lock").profiler.as_mut() {
+                profiler.add_queue(counters);
             }
         }
     }

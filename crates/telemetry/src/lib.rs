@@ -82,7 +82,8 @@ pub use anatomy::{
 pub use event::{EscapeTier, TraceEvent, TraceEventKind};
 pub use handle::{TelemetryConfig, TelemetryHandle, TelemetryOut};
 pub use profiler::{
-    HotPathProfiler, MonitorCounters, ProfileReport, ProfileRow, ProfiledEvent, SchedPassCounters,
+    HotPathProfiler, MonitorCounters, ProfileReport, ProfileRow, ProfiledEvent, QueueCounters,
+    SchedPassCounters,
 };
 pub use series::{series_to_csv, series_to_json, SeriesRow, SeriesScope};
 pub use sink::{events_to_chrome, events_to_jsonl, TraceFormat};

@@ -92,6 +92,7 @@ pub struct HotPathProfiler {
     barrier_events: u64,
     sched: SchedPassCounters,
     monitor: MonitorCounters,
+    queue: QueueCounters,
 }
 
 impl HotPathProfiler {
@@ -107,6 +108,7 @@ impl HotPathProfiler {
             barrier_events: 0,
             sched: SchedPassCounters::default(),
             monitor: MonitorCounters::default(),
+            queue: QueueCounters::default(),
         }
     }
 
@@ -153,6 +155,12 @@ impl HotPathProfiler {
         self.monitor.absorb(counters);
     }
 
+    /// Adds event-layer work counters (handed over once per run, after it
+    /// drained).
+    pub fn add_queue(&mut self, counters: &QueueCounters) {
+        self.queue.absorb(counters);
+    }
+
     /// Stops the wall clock and condenses the samples into a report.
     #[must_use]
     pub fn report(self) -> ProfileReport {
@@ -184,6 +192,7 @@ impl HotPathProfiler {
             barrier_events: self.barrier_events,
             sched: self.sched,
             monitor: self.monitor,
+            queue: self.queue,
             rows,
         }
     }
@@ -269,6 +278,31 @@ impl MonitorCounters {
     }
 }
 
+/// Work counters of the event layer: the shards' event queues and the
+/// frontier that picks the next shard event among them, summed over every
+/// shard. Deterministic, like [`SchedPassCounters`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct QueueCounters {
+    /// Events scheduled on shard queues.
+    pub schedules: u64,
+    /// Events popped off shard queues.
+    pub pops: u64,
+    /// Shard-queue heads read to keep the next-event frontier current.
+    pub head_peeks: u64,
+    /// Head reads that found a changed head and re-played the frontier.
+    pub frontier_refreshes: u64,
+}
+
+impl QueueCounters {
+    /// Adds `other` into `self`.
+    pub fn absorb(&mut self, other: &QueueCounters) {
+        self.schedules += other.schedules;
+        self.pops += other.pops;
+        self.head_peeks += other.head_peeks;
+        self.frontier_refreshes += other.frontier_refreshes;
+    }
+}
+
 /// The profiler's end-of-run summary. Host-dependent; never part of any
 /// deterministic output.
 #[derive(Clone, Debug, PartialEq)]
@@ -294,6 +328,8 @@ pub struct ProfileReport {
     /// Instance-monitor work counters. Deterministic, like the window
     /// counts.
     pub monitor: MonitorCounters,
+    /// Event-layer work counters. Deterministic, like the window counts.
+    pub queue: QueueCounters,
     /// One row per event class, [`ProfiledEvent::ALL`] order.
     pub rows: Vec<ProfileRow>,
 }
@@ -336,6 +372,17 @@ impl ProfileReport {
                 monitor.pace_entries_scanned,
                 monitor.pace_entries_scanned as f64 / monitor.rows_computed.max(1) as f64,
                 monitor.member_reads,
+            ));
+        }
+        let queue = &self.queue;
+        if queue.schedules + queue.pops > 0 {
+            out.push_str(&format!(
+                "  {} queue schedules, {} pops: {} head peeks ({:.2}/event), {} frontier refreshes\n",
+                queue.schedules,
+                queue.pops,
+                queue.head_peeks,
+                queue.head_peeks as f64 / self.events.max(1) as f64,
+                queue.frontier_refreshes,
             ));
         }
         for row in &self.rows {
@@ -402,6 +449,28 @@ mod tests {
         assert!(report.render().contains(
             "8 monitor rows computed, 12 served from cache: 20 pace entries scanned \
              (2.5/row), 0 member states read"
+        ));
+    }
+
+    #[test]
+    fn queue_counters_accumulate_and_render() {
+        let mut p = HotPathProfiler::new();
+        assert!(!p.clone().report().render().contains("queue schedules"));
+        for _ in 0..4 {
+            p.record(ProfiledEvent::IterationDone, 1.0);
+        }
+        let run = QueueCounters {
+            schedules: 5,
+            pops: 4,
+            head_peeks: 3,
+            frontier_refreshes: 2,
+        };
+        p.add_queue(&run);
+        p.add_queue(&run);
+        let report = p.report();
+        assert_eq!(report.queue.pops, 8);
+        assert!(report.render().contains(
+            "10 queue schedules, 8 pops: 6 head peeks (1.50/event), 4 frontier refreshes"
         ));
     }
 

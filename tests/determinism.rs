@@ -77,7 +77,7 @@ fn predictive_controllers_are_deterministic() {
 
 #[test]
 fn chaos_sweep_is_thread_count_invariant() {
-    // Fleet events ride the same calendar queue as everything else, so a
+    // Fleet events ride the same shard event queues as everything else, so a
     // sweep over the chaos grid (outage, flash-crowd and diurnal cells,
     // with drains, failures, rebalancing and the autoscaler all firing)
     // must produce the identical report at any worker-pool width.
